@@ -100,6 +100,21 @@ func BenchmarkMapperSpeed_Chortle_des(b *testing.B) {
 	}
 }
 
+// The priority-cut engine on the same circuit and K, with allocation
+// accounting (EXPERIMENTS.md tracks its ns/op and allocs/op).
+func BenchmarkMapperSpeed_Cut_des_K5(b *testing.B) {
+	nw := optimizedSuite(b)["des"]
+	o := DefaultOptions(5)
+	o.Engine = EngineCut
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Map(nw, o); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // The same speed benchmark at the paper's headline K=4, with allocation
 // accounting — the figure cmd/benchjson and EXPERIMENTS.md track across
 // revisions.

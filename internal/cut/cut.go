@@ -17,9 +17,11 @@
 package cut
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"chortle/internal/cerrs"
 	"chortle/internal/lut"
@@ -116,59 +118,77 @@ type Result struct {
 	Prepared *network.Network
 }
 
-// cutSet is one K-feasible cut: its leaves as sorted node IDs, a
-// 64-bit bloom signature for fast dominance rejection, and the ranking
-// the last area pass computed.
+// cutSet is one K-feasible cut: its leaves as sorted node IDs stored
+// inline, a 64-bit bloom signature for fast dominance rejection, and
+// the ranking the last area pass computed. Cuts are values: a run's
+// priority lists live in one arena slice, and candidates are built in
+// two reused buffers, so enumeration allocates nothing per cut.
 type cutSet struct {
-	leaves []int32
-	sig    uint64
-	flow   float64 // area flow through this cut
+	leaves [truth.MaxVars]int32
+	n      int32   // leaf count
 	depth  int32   // LUT levels through this cut
+	sig    uint64  // bloom mask of the leaves
+	flow   float64 // area flow through this cut
 }
 
-// signature returns the bloom mask of a leaf set.
-func signature(leaves []int32) uint64 {
-	var s uint64
-	for _, l := range leaves {
-		s |= 1 << (uint(l) & 63)
-	}
-	return s
+// leafIDs returns the cut's sorted leaves.
+func (c *cutSet) leafIDs() []int32 { return c.leaves[:c.n] }
+
+// trivialCut is the single-leaf cut {id}.
+func trivialCut(id int) cutSet {
+	c := cutSet{n: 1, sig: 1 << (uint(id) & 63)}
+	c.leaves[0] = int32(id)
+	return c
 }
 
 // subsetOf reports whether a's leaves are all among b's. The signature
 // pre-check rejects most non-subsets in one AND.
 func (a *cutSet) subsetOf(b *cutSet) bool {
-	if len(a.leaves) > len(b.leaves) || a.sig&^b.sig != 0 {
+	if a.n > b.n || a.sig&^b.sig != 0 {
 		return false
 	}
-	i := 0
-	for _, l := range b.leaves {
-		if i < len(a.leaves) && a.leaves[i] == l {
+	i := int32(0)
+	for _, l := range b.leafIDs() {
+		if i < a.n && a.leaves[i] == l {
 			i++
 		}
 	}
-	return i == len(a.leaves)
+	return i == a.n
 }
 
-// nodeData is the per-node mapping state, indexed by node ID.
+// nodeData is the per-node mapping state, indexed by node ID. A gate's
+// non-trivial cuts, best-first, are mapper.arena[first:end].
 type nodeData struct {
-	cuts  []*cutSet // non-trivial cuts, best-first
-	est   float64   // area flow of the best cut
-	depth int32     // depth through the best cut
-	refs  float64   // estimated references (>= 1)
+	first, end int32
+	est        float64 // area flow of the best cut
+	depth      int32   // depth through the best cut
+	refs       float64 // estimated references (>= 1)
 }
 
-// mapper carries one run's state.
+// mapper carries one run's state. Its slices are allocated once per run
+// and reused across nodes, LUTs and area rounds.
 type mapper struct {
 	opts  Options
 	nw    *network.Network
 	order []*network.Node // topological, fanins first
 	data  []nodeData      // by node ID
-	// selected is the cover in topological order; selMark flags
-	// membership by node ID.
+	// arena holds every priority list back to back, in enumeration
+	// order; cands and spare are the candidate buffers one gate's merge,
+	// prune and rank work in.
+	arena, cands, spare []cutSet
+	// selected is the cover in topological order; required flags the
+	// gates the cover needs and refCnt tallies references, both by node
+	// ID and reused every round.
 	selected []*network.Node
-	selMark  []bool
-	cutCount int
+	required []bool
+	refCnt   []int
+	// Emission scratch by node ID: stamp[id] == gen marks a node as
+	// visited by the current cone walk or table pass, tabs[id] holds its
+	// table; coneBuf is reused for every LUT's cone.
+	stamp   []uint32
+	gen     uint32
+	tabs    []truth.Table
+	coneBuf []*network.Node
 	// Enumeration tallies for the run-summary events: candidates removed
 	// by dominance pruning and non-dominated cuts evicted beyond the
 	// priority bound.
@@ -202,19 +222,12 @@ func MapCtx(ctx context.Context, input *network.Network, opts Options) (*Result,
 	nw.Sweep()
 	added := binarize(nw)
 	order, err := nw.TopoSort()
-	endPhase()
 	if err != nil {
+		endPhase()
 		return nil, err
 	}
-
-	m := &mapper{opts: opts, nw: nw, order: order}
-	m.data = make([]nodeData, len(nw.Nodes))
-	for id, c := range nw.FanoutCounts() {
-		if c < 1 {
-			c = 1
-		}
-		m.data[id].refs = float64(c)
-	}
+	m := newMapper(opts, nw, order)
+	endPhase()
 
 	endPhase = tr.phase("cuts")
 	err = m.enumerate(ctx)
@@ -222,7 +235,7 @@ func MapCtx(ctx context.Context, input *network.Network, opts Options) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	tr.cutsEnumerated(gateCount(nw), int64(m.cutCount), m.dominated, m.evicted)
+	tr.cutsEnumerated(gateCount(nw), int64(len(m.arena)), m.dominated, m.evicted)
 
 	endPhase = tr.phase("select")
 	m.selectCover()
@@ -254,12 +267,35 @@ func MapCtx(ctx context.Context, input *network.Network, opts Options) (*Result,
 		LUTs:           ckt.Count(),
 		Nodes:          gateCount(nw),
 		BinarizedGates: added,
-		Cuts:           m.cutCount,
+		Cuts:           len(m.arena),
 	}
 	if opts.Provenance {
 		res.Prepared = nw
 	}
 	return res, nil
+}
+
+// newMapper sizes one run's state for the prepared network, seeding
+// the reference estimates from fanout counts.
+func newMapper(opts Options, nw *network.Network, order []*network.Node) *mapper {
+	n := len(nw.Nodes)
+	m := &mapper{
+		opts:  opts,
+		nw:    nw,
+		order: order,
+		data:  make([]nodeData, n),
+		// Every gate keeps at most cutsPerNode cuts, so the arena never
+		// regrows.
+		arena:    make([]cutSet, 0, gateCount(nw)*opts.cutsPerNode()),
+		required: make([]bool, n),
+		refCnt:   make([]int, n),
+		stamp:    make([]uint32, n),
+		tabs:     make([]truth.Table, n),
+	}
+	for id, c := range nw.FanoutCounts() {
+		m.data[id].refs = float64(max(c, 1))
+	}
+	return m
 }
 
 func gateCount(nw *network.Network) int {
@@ -272,13 +308,22 @@ func gateCount(nw *network.Network) int {
 	return n
 }
 
-// enumerate builds every gate's priority list in topological order.
-// For a gate v with fanins a and b the candidates are the pairwise
-// unions of a's and b's cut lists (each extended by its trivial cut
-// {a} resp. {b}); candidates wider than K are discarded, dominated
-// candidates pruned, and the best cutsPerNode kept.
+// cutsOf returns node id's priority list (empty for inputs).
+func (m *mapper) cutsOf(id int) []cutSet {
+	d := &m.data[id]
+	return m.arena[d.first:d.end]
+}
+
+// enumerate builds every gate's priority list in topological order,
+// appending it to the (reset) arena. For a gate v with fanins a and b
+// the candidates are the pairwise unions of a's and b's cut lists (each
+// extended by its trivial cut {a} resp. {b}); candidates wider than K
+// are discarded, dominated candidates pruned, and the best cutsPerNode
+// kept.
 func (m *mapper) enumerate(ctx context.Context) error {
 	bound := m.opts.cutsPerNode()
+	m.arena = m.arena[:0]
+	m.dominated, m.evicted = 0, 0
 	for i, v := range m.order {
 		if i&127 == 0 {
 			if err := ctx.Err(); err != nil {
@@ -288,9 +333,9 @@ func (m *mapper) enumerate(ctx context.Context) error {
 		if v.IsInput() {
 			continue
 		}
-		cands := m.faninCuts(v.Fanins[0].Node)
+		cands, spare := m.faninCuts(m.cands[:0], v.Fanins[0].Node), m.spare
 		for _, f := range v.Fanins[1:] {
-			cands = m.mergeLists(cands, m.faninCuts(f.Node))
+			cands, spare = m.mergeLists(spare[:0], cands, f.Node), cands
 		}
 		before := len(cands)
 		cands = pruneDominated(cands)
@@ -301,83 +346,92 @@ func (m *mapper) enumerate(ctx context.Context) error {
 			cands = cands[:bound]
 		}
 		d := &m.data[v.ID]
-		d.cuts = cands
+		d.first = int32(len(m.arena))
+		m.arena = append(m.arena, cands...)
+		d.end = int32(len(m.arena))
 		d.est = cands[0].flow
 		d.depth = cands[0].depth
-		m.cutCount += len(cands)
+		m.cands, m.spare = cands, spare
 	}
 	return nil
 }
 
-// faninCuts returns a fanin's mergeable cut list: its own priority
-// list plus its trivial cut {n} (inputs contribute only the trivial
-// cut). The trivial cut is what lets a consumer keep n as a LUT input.
-func (m *mapper) faninCuts(n *network.Node) []*cutSet {
-	triv := &cutSet{leaves: []int32{int32(n.ID)}, sig: signature([]int32{int32(n.ID)})}
-	own := m.data[n.ID].cuts
-	out := make([]*cutSet, 0, len(own)+1)
-	out = append(out, own...)
-	return append(out, triv)
+// faninCuts appends a fanin's mergeable cut list to dst: its own
+// priority list plus its trivial cut {n} (inputs contribute only the
+// trivial cut). The trivial cut is what lets a consumer keep n as a LUT
+// input.
+func (m *mapper) faninCuts(dst []cutSet, n *network.Node) []cutSet {
+	dst = append(dst, m.cutsOf(n.ID)...)
+	return append(dst, trivialCut(n.ID))
 }
 
-// mergeLists forms every union of one cut from each list that stays
-// within K leaves.
-func (m *mapper) mergeLists(as, bs []*cutSet) []*cutSet {
-	out := make([]*cutSet, 0, len(as)*len(bs))
-	for _, a := range as {
-		for _, b := range bs {
-			if c := mergeCuts(a, b, m.opts.K); c != nil {
-				out = append(out, c)
+// mergeLists appends to dst every union of a cut in as with one of
+// fanin b's mergeable cuts that stays within K leaves.
+func (m *mapper) mergeLists(dst, as []cutSet, b *network.Node) []cutSet {
+	own := m.cutsOf(b.ID)
+	triv := trivialCut(b.ID)
+	dst = slices.Grow(dst, len(as)*(len(own)+1))
+	for i := range as {
+		for j := 0; j <= len(own); j++ {
+			bc := &triv
+			if j < len(own) {
+				bc = &own[j]
+			}
+			if next := dst[:len(dst)+1]; mergeCuts(&next[len(dst)], &as[i], bc, m.opts.K) {
+				dst = next
 			}
 		}
 	}
-	return out
+	return dst
 }
 
-// mergeCuts unions two sorted leaf sets, or returns nil when the union
-// exceeds k leaves. The signature union gives a cheap lower bound on
-// the merged size before the real merge runs.
-func mergeCuts(a, b *cutSet, k int) *cutSet {
-	leaves := make([]int32, 0, len(a.leaves)+len(b.leaves))
-	i, j := 0, 0
-	for i < len(a.leaves) && j < len(b.leaves) {
+// mergeCuts writes the union of two sorted leaf sets into dst and
+// reports whether it stays within k leaves. The signature union gives a
+// cheap lower bound on the merged size before the real merge runs.
+func mergeCuts(dst, a, b *cutSet, k int) bool {
+	if bits.OnesCount64(a.sig|b.sig) > k {
+		return false
+	}
+	al, bl := a.leafIDs(), b.leafIDs()
+	i, j, n := 0, 0, 0
+	for i < len(al) && j < len(bl) {
+		if n == k {
+			return false
+		}
 		switch {
-		case a.leaves[i] < b.leaves[j]:
-			leaves = append(leaves, a.leaves[i])
+		case al[i] < bl[j]:
+			dst.leaves[n] = al[i]
 			i++
-		case a.leaves[i] > b.leaves[j]:
-			leaves = append(leaves, b.leaves[j])
+		case al[i] > bl[j]:
+			dst.leaves[n] = bl[j]
 			j++
 		default:
-			leaves = append(leaves, a.leaves[i])
+			dst.leaves[n] = al[i]
 			i++
 			j++
 		}
-		if len(leaves) > k {
-			return nil
-		}
+		n++
 	}
-	for ; i < len(a.leaves); i++ {
-		leaves = append(leaves, a.leaves[i])
+	if n+len(al)-i+len(bl)-j > k {
+		return false
 	}
-	for ; j < len(b.leaves); j++ {
-		leaves = append(leaves, b.leaves[j])
-	}
-	if len(leaves) > k {
-		return nil
-	}
-	return &cutSet{leaves: leaves, sig: a.sig | b.sig}
+	n += copy(dst.leaves[n:], al[i:])
+	n += copy(dst.leaves[n:], bl[j:])
+	dst.n = int32(n)
+	dst.sig = a.sig | b.sig
+	return true
 }
 
-// pruneDominated removes duplicates and any cut whose leaves are a
-// superset of another candidate's — the dominated cut can never beat
-// the dominating one on area or feasibility.
-func pruneDominated(cands []*cutSet) []*cutSet {
+// pruneDominated removes, in place, duplicates and any cut whose leaves
+// are a superset of another candidate's — the dominated cut can never
+// beat the dominating one on area or feasibility.
+func pruneDominated(cands []cutSet) []cutSet {
 	out := cands[:0]
-	for _, c := range cands {
+	for i := range cands {
+		c := &cands[i]
 		dominated := false
-		for _, kept := range out {
-			if kept.subsetOf(c) {
+		for x := range out {
+			if out[x].subsetOf(c) {
 				dominated = true
 				break
 			}
@@ -385,28 +439,29 @@ func pruneDominated(cands []*cutSet) []*cutSet {
 		if dominated {
 			continue
 		}
-		// Evict previously kept cuts the new one dominates.
+		// Evict previously kept cuts the new one dominates. Kept cuts sit
+		// below index i, so neither this nor the append overwrites c
+		// before it is copied.
 		w := 0
-		for _, kept := range out {
-			if !c.subsetOf(kept) {
-				out[w] = kept
+		for x := range out {
+			if !c.subsetOf(&out[x]) {
+				out[w] = out[x]
 				w++
 			}
 		}
-		out = out[:w]
-		out = append(out, c)
+		out = append(out[:w], *c)
 	}
 	return out
 }
 
 // rankCuts computes each candidate's area flow and depth from the
-// current leaf estimates and sorts best-first. The order is total —
-// ties fall through to the leaf IDs — so ranking is deterministic.
-func (m *mapper) rankCuts(cands []*cutSet) {
-	for _, c := range cands {
+// current leaf estimates and sorts best-first in place.
+func (m *mapper) rankCuts(cands []cutSet) {
+	for i := range cands {
+		c := &cands[i]
 		flow := 1.0
 		var depth int32
-		for _, l := range c.leaves {
+		for _, l := range c.leafIDs() {
 			d := &m.data[l]
 			if m.nw.Nodes[l].IsInput() {
 				continue
@@ -419,46 +474,53 @@ func (m *mapper) rankCuts(cands []*cutSet) {
 		c.flow = flow
 		c.depth = depth + 1
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
-		if a.flow != b.flow {
-			return a.flow < b.flow
-		}
-		if a.depth != b.depth {
-			return a.depth < b.depth
-		}
-		if len(a.leaves) != len(b.leaves) {
-			return len(a.leaves) < len(b.leaves)
-		}
-		for x := range a.leaves {
-			if a.leaves[x] != b.leaves[x] {
-				return a.leaves[x] < b.leaves[x]
-			}
-		}
-		return false
-	})
+	slices.SortFunc(cands, compareCuts)
+}
+
+// compareCuts orders cuts best-first: lower area flow, then lower
+// depth, then fewer leaves, then lexicographically smaller leaf IDs.
+// The order is total on distinct leaf sets, so ranking is deterministic
+// whatever order the candidates arrive in.
+func compareCuts(a, b cutSet) int {
+	if c := cmp.Compare(a.flow, b.flow); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.depth, b.depth); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.n, b.n); c != 0 {
+		return c
+	}
+	return slices.Compare(a.leafIDs(), b.leafIDs())
 }
 
 // rerank recomputes every priority list's ranking bottom-up under the
-// current reference counts (an area-recovery pass re-sorts the stored
-// lists; it does not re-merge).
+// current reference counts (an area-recovery pass re-sorts the arena
+// ranges in place; it does not re-merge).
 func (m *mapper) rerank() {
 	for _, v := range m.order {
 		if v.IsInput() {
 			continue
 		}
+		cuts := m.cutsOf(v.ID)
+		m.rankCuts(cuts)
 		d := &m.data[v.ID]
-		m.rankCuts(d.cuts)
-		d.est = d.cuts[0].flow
-		d.depth = d.cuts[0].depth
+		d.est = cuts[0].flow
+		d.depth = cuts[0].depth
 	}
+}
+
+// best returns gate id's best-ranked cut.
+func (m *mapper) best(id int) *cutSet {
+	return &m.arena[m.data[id].first]
 }
 
 // selectCover walks from the outputs down, selecting every required
 // gate's best cut and requiring its gate leaves in turn. The result is
 // m.selected in topological order.
 func (m *mapper) selectCover() {
-	required := make([]bool, len(m.nw.Nodes))
+	required := m.required
+	clear(required)
 	for _, o := range m.nw.Outputs {
 		if !o.Node.IsInput() {
 			required[o.Node.ID] = true
@@ -476,17 +538,13 @@ func (m *mapper) selectCover() {
 			continue
 		}
 		m.selected = append(m.selected, v)
-		for _, l := range m.data[v.ID].cuts[0].leaves {
+		for _, l := range m.best(v.ID).leafIDs() {
 			if !m.nw.Nodes[l].IsInput() {
 				required[l] = true
 			}
 		}
 	}
-	// Reverse into topological order.
-	for i, j := 0, len(m.selected)-1; i < j; i, j = i+1, j-1 {
-		m.selected[i], m.selected[j] = m.selected[j], m.selected[i]
-	}
-	m.selMark = required
+	slices.Reverse(m.selected)
 }
 
 // recomputeRefs replaces the fanout-based reference estimates with the
@@ -494,9 +552,10 @@ func (m *mapper) selectCover() {
 // exact-area refinement that steers the next ranking pass toward cuts
 // whose logic is already shared.
 func (m *mapper) recomputeRefs() {
-	cnt := make([]int, len(m.nw.Nodes))
+	cnt := m.refCnt
+	clear(cnt)
 	for _, v := range m.selected {
-		for _, l := range m.data[v.ID].cuts[0].leaves {
+		for _, l := range m.best(v.ID).leafIDs() {
 			cnt[l]++
 		}
 	}
@@ -507,9 +566,6 @@ func (m *mapper) recomputeRefs() {
 		cnt[l.D.ID]++
 	}
 	for id := range m.data {
-		if cnt[id] < 1 {
-			cnt[id] = 1
-		}
-		m.data[id].refs = float64(cnt[id])
+		m.data[id].refs = float64(max(cnt[id], 1))
 	}
 }

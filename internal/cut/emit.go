@@ -55,17 +55,17 @@ func (m *mapper) emit() (*lut.Circuit, error) {
 		owner = make([]bool, len(m.nw.Nodes))
 	}
 	for _, v := range m.selected {
-		c := m.data[v.ID].cuts[0]
+		c := m.best(v.ID)
 		cone, err := m.cone(v, c)
 		if err != nil {
 			return nil, err
 		}
-		table, err := coneTable(cone, c)
+		table, err := m.coneTable(cone, c)
 		if err != nil {
 			return nil, err
 		}
-		inputs := make([]string, len(c.leaves))
-		for i, l := range c.leaves {
+		inputs := make([]string, c.n)
+		for i, l := range c.leafIDs() {
 			inputs[i] = m.nw.Nodes[l].Name
 		}
 		ckt.AddLUT(v.Name, inputs, table)
@@ -86,56 +86,59 @@ func (m *mapper) emit() (*lut.Circuit, error) {
 // from the leaves to v, leaves excluded, v included — in topological
 // order. A path that escapes to a primary input without crossing a
 // leaf would mean c is not a cut of v; that is an internal invariant
-// violation and reported as an error rather than mis-emitted.
+// violation and reported as an error rather than mis-emitted. The
+// returned slice is scratch, valid until the next call.
 func (m *mapper) cone(v *network.Node, c *cutSet) ([]*network.Node, error) {
-	inCut := make(map[int]bool, len(c.leaves))
-	for _, l := range c.leaves {
-		inCut[int(l)] = true
+	m.gen++
+	for _, l := range c.leafIDs() {
+		m.stamp[l] = m.gen
 	}
-	seen := make(map[int]bool)
-	var nodes []*network.Node
-	var walk func(n *network.Node) error
-	walk = func(n *network.Node) error {
-		if inCut[n.ID] || seen[n.ID] {
-			return nil
-		}
-		if n.IsInput() {
-			return fmt.Errorf("cut: internal: leaves of %q miss input %q", v.Name, n.Name)
-		}
-		seen[n.ID] = true
-		for _, f := range n.Fanins {
-			if err := walk(f.Node); err != nil {
-				return err
-			}
-		}
-		nodes = append(nodes, n)
-		return nil
-	}
-	if err := walk(v); err != nil {
+	m.coneBuf = m.coneBuf[:0]
+	if err := m.walkCone(v, v); err != nil {
 		return nil, err
 	}
-	if len(nodes) == 0 {
+	if len(m.coneBuf) == 0 {
 		return nil, fmt.Errorf("cut: internal: trivial cut selected at %q", v.Name)
 	}
-	return nodes, nil
+	return m.coneBuf, nil
+}
+
+// walkCone appends the not-yet-stamped gates under n to coneBuf in
+// post-order; leaves arrive pre-stamped and stop the walk.
+func (m *mapper) walkCone(root, n *network.Node) error {
+	if m.stamp[n.ID] == m.gen {
+		return nil
+	}
+	if n.IsInput() {
+		return fmt.Errorf("cut: internal: leaves of %q miss input %q", root.Name, n.Name)
+	}
+	m.stamp[n.ID] = m.gen
+	for _, f := range n.Fanins {
+		if err := m.walkCone(root, f.Node); err != nil {
+			return err
+		}
+	}
+	m.coneBuf = append(m.coneBuf, n)
+	return nil
 }
 
 // coneTable computes the root's truth table over the cut leaves:
 // leaf i is table variable i, cone gates combine their fanin tables
-// under the edge polarities.
-func coneTable(cone []*network.Node, c *cutSet) (truth.Table, error) {
-	n := len(c.leaves)
-	tabs := make(map[int]truth.Table, len(cone)+n)
-	for i, l := range c.leaves {
-		tabs[int(l)] = truth.Var(i, n)
+// under the edge polarities. A fresh stamp marks which tabs entries
+// this pass has written.
+func (m *mapper) coneTable(cone []*network.Node, c *cutSet) (truth.Table, error) {
+	m.gen++
+	for i, l := range c.leafIDs() {
+		m.tabs[l] = truth.Var(i, int(c.n))
+		m.stamp[l] = m.gen
 	}
 	for _, g := range cone {
 		var t truth.Table
 		for j, f := range g.Fanins {
-			ft, ok := tabs[f.Node.ID]
-			if !ok {
+			if m.stamp[f.Node.ID] != m.gen {
 				return truth.Table{}, fmt.Errorf("cut: internal: cone of %q not topological at %q", cone[len(cone)-1].Name, f.Node.Name)
 			}
+			ft := m.tabs[f.Node.ID]
 			if f.Invert {
 				ft = ft.Not()
 			}
@@ -148,9 +151,10 @@ func coneTable(cone []*network.Node, c *cutSet) (truth.Table, error) {
 				t = t.Or(ft)
 			}
 		}
-		tabs[g.ID] = t
+		m.tabs[g.ID] = t
+		m.stamp[g.ID] = m.gen
 	}
-	return tabs[cone[len(cone)-1].ID], nil
+	return m.tabs[cone[len(cone)-1].ID], nil
 }
 
 // recordProvenance attaches the LUT's ancestry. Cut cones overlap
@@ -169,7 +173,7 @@ func (m *mapper) recordProvenance(ckt *lut.Circuit, v *network.Node, c *cutSet, 
 		covers = append(covers, g.Name)
 	}
 	var faninLUTs []string
-	for _, l := range c.leaves {
+	for _, l := range c.leafIDs() {
 		if !m.nw.Nodes[l].IsInput() {
 			faninLUTs = append(faninLUTs, m.nw.Nodes[l].Name)
 		}
@@ -179,7 +183,7 @@ func (m *mapper) recordProvenance(ckt *lut.Circuit, v *network.Node, c *cutSet, 
 		Origin:    lut.OriginCut,
 		Covers:    covers,
 		PartOf:    partOf(covers, v),
-		Shape:     fmt.Sprintf("cut(%d)", len(c.leaves)),
+		Shape:     fmt.Sprintf("cut(%d)", c.n),
 		FaninLUTs: faninLUTs,
 	})
 }
