@@ -129,21 +129,6 @@ func BenchmarkMapperSpeed_Chortle_des_K4(b *testing.B) {
 	}
 }
 
-// The single-threaded, unmemoized mapper on the same workload — the
-// baseline the performance architecture (DESIGN.md) is measured against.
-func BenchmarkMapperSpeed_Chortle_des_K4_NoPerf(b *testing.B) {
-	nw := optimizedSuite(b)["des"]
-	o := DefaultOptions(4)
-	o.Parallel, o.Memoize = false, false
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Map(nw, o); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkMapperSpeed_MIS_des(b *testing.B) {
 	nw := optimizedSuite(b)["des"]
 	lib, err := mislib.ForK(5)
@@ -571,11 +556,11 @@ func BenchmarkNaiveFloor(b *testing.B) {
 	b.ReportMetric(float64(smart), "luts-chortle")
 }
 
-// Parallel per-tree DP on the largest circuit.
+// The per-tree DP pool on the largest circuit; compare worker counts
+// with -cpu 1,2.
 func BenchmarkParallelMapping_des(b *testing.B) {
 	nw := optimizedSuite(b)["des"]
 	o := DefaultOptions(5)
-	o.Parallel = true
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Map(nw, o); err != nil {
@@ -607,22 +592,14 @@ func wideFanoutNetwork() *network.Network {
 	return nw
 }
 
+// BenchmarkParallelWideTrees maps the wide-fanin workload; run it with
+// -cpu 1,2 to compare the inline pool with two workers.
 func BenchmarkParallelWideTrees(b *testing.B) {
 	nw := wideFanoutNetwork()
-	for _, par := range []bool{false, true} {
-		par := par
-		name := "sequential"
-		if par {
-			name = "parallel"
+	o := DefaultOptions(5)
+	for i := 0; i < b.N; i++ {
+		if _, err := Map(nw, o); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			o := DefaultOptions(5)
-			o.Parallel = par
-			for i := 0; i < b.N; i++ {
-				if _, err := Map(nw, o); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

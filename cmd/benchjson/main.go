@@ -8,7 +8,10 @@
 // field). Schema v4 added the engine dimension: each record names the
 // mapping engine it measured, and the default run covers both the tree
 // DP and the priority-cut engine, so the cut mapper's speed and LUT
-// counts are gated alongside the paper algorithm's.
+// counts are gated alongside the paper algorithm's. The tree engine has
+// one pipeline, so reports carry no options block, only the gomaxprocs
+// worker count; readers ignore the parallel/memoize block that older v4
+// files still have.
 //
 // Usage:
 //
@@ -78,13 +81,9 @@ type statBlock struct {
 }
 
 type report struct {
-	Schema     string `json:"schema"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	Options    struct {
-		Parallel bool `json:"parallel"`
-		Memoize  bool `json:"memoize"`
-	} `json:"options"`
-	Results []record `json:"results"`
+	Schema     string   `json:"schema"`
+	GOMAXPROCS int      `json:"gomaxprocs"`
+	Results    []record `json:"results"`
 }
 
 func main() {
@@ -94,7 +93,6 @@ func main() {
 		engines  = flag.String("engines", "tree,cut", "comma-separated engines to measure (tree, mis, cut)")
 		reps     = flag.Int("reps", 5, "timed repetitions per (circuit, K); the mean is reported")
 		out      = flag.String("o", "BENCH_map.json", "output file (- for stdout)")
-		seq      = flag.Bool("sequential", false, "measure with Parallel and Memoize off")
 		debug    = flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this host:port while benchmarking")
 	)
 	flag.Parse()
@@ -137,8 +135,6 @@ func main() {
 	var rep report
 	rep.Schema = "chortle-bench-map/v4"
 	rep.GOMAXPROCS = runtime.GOMAXPROCS(0)
-	rep.Options.Parallel = !*seq
-	rep.Options.Memoize = !*seq
 
 	for _, name := range names {
 		nw, err := chortle.BenchmarkNetwork(name)
@@ -149,8 +145,6 @@ func main() {
 			for _, eng := range engineList {
 				opts := chortle.DefaultOptions(k)
 				opts.Engine = eng
-				opts.Parallel = !*seq
-				opts.Memoize = !*seq
 				rec, err := measure(name, nw, opts, *reps, metricsObs)
 				if err != nil {
 					fatal(err)
@@ -212,10 +206,10 @@ func measure(name string, nw *chortle.Network, opts chortle.Options, reps int, e
 	// Shared-cache warm-vs-cold measurement. Cold pays publication on
 	// top of the solve (a fresh cache per rep); warm maps through a
 	// cache already holding every shape of this circuit. Only
-	// meaningful for the tree engine with the memo on — the shared
-	// tier rides the tree DP's memoization.
+	// meaningful for the tree engine — the shared tier rides the tree
+	// DP's shape memo.
 	var cache *cacheBlock
-	if opts.Memoize && opts.Engine == chortle.EngineTree {
+	if opts.Engine == chortle.EngineTree {
 		cache, err = measureCache(name, nw, opts, reps)
 		if err != nil {
 			return record{}, err

@@ -16,10 +16,10 @@
 // or cut (the priority-cut DAG mapper, which sees through reconvergent
 // fanout). All engines emit the same circuit format, so -verify, -stats
 // and the output writers work unchanged; flags that tune the tree
-// search (-dup, -depth, -binpack, -split, -parallel, -memo, -budget,
-// -shared-cache) are rejected with the other engines rather than
-// silently ignored. In -server mode the engine rides along in the
-// request and the fleet maps with it per request.
+// search (-dup, -depth, -binpack, -split, -budget, -shared-cache) are
+// rejected with the other engines rather than silently ignored. In
+// -server mode the engine rides along in the request and the fleet maps
+// with it per request.
 //
 // -server maps remotely through a chortled fleet instead of in-process,
 // using the resilient chortle/client (retries with backoff, circuit
@@ -90,8 +90,6 @@ func main() {
 		binpack  = flag.Bool("binpack", false, "use the Chortle-crf-style bin-packing decomposition (faster, near-optimal)")
 		verilog  = flag.Bool("verilog", false, "emit structural Verilog instead of BLIF")
 		path     = flag.Bool("path", false, "print the critical path to stderr")
-		parallel = flag.Bool("parallel", true, "compute tree DPs on the worker pool (identical output either way)")
-		memo     = flag.Bool("memo", true, "reuse DP solves across isomorphic trees (identical output either way)")
 		timeout  = flag.Duration("timeout", 0, "hard wall-clock limit for the mapping (0 = none); expiry cancels and fails")
 		budget   = flag.Int64("budget", 0, "per-tree search budget in DP work units (0 = unlimited); over-budget trees fall back to bin packing")
 		trace    = flag.String("trace", "", "stream mapping events as JSON lines to this file")
@@ -125,7 +123,7 @@ func main() {
 		// reject explicit uses rather than silently ignoring them.
 		treeOnly := map[string]bool{
 			"dup": true, "depth": true, "binpack": true, "split": true,
-			"parallel": true, "memo": true, "budget": true, "shared-cache": true,
+			"budget": true, "shared-cache": true,
 		}
 		flag.Visit(func(f *flag.Flag) {
 			if treeOnly[f.Name] {
@@ -226,8 +224,6 @@ func main() {
 		opts := chortle.DefaultOptions(*k)
 		opts.Engine = eng
 		opts.SplitThreshold = *split
-		opts.Parallel = *parallel
-		opts.Memoize = *memo
 		opts.DuplicateFanoutLogic = *dup
 		opts.RepackLUTs = *repack
 		opts.OptimizeDepth = *depth

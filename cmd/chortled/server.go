@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"runtime/debug"
 	"sort"
@@ -437,6 +438,31 @@ func parseMapRequest(r *http.Request, defaultK int) (*mapRequest, error) {
 	return req, nil
 }
 
+// maxDeadlineMS is the largest deadline_ms whose duration fits in a
+// time.Duration.
+const maxDeadlineMS = math.MaxInt64 / int64(time.Millisecond)
+
+// admit checks a parsed request before it may take a queue slot and
+// builds the options and deadline its solve runs with: the engine must
+// parse, the options must pass the mapper's own check, and deadline_ms
+// (0 = none) must be a duration. Every error is the client's to fix.
+func admit(req *mapRequest) (chortle.Options, time.Duration, error) {
+	eng, err := chortle.ParseEngine(req.Engine)
+	if err != nil {
+		return chortle.Options{}, 0, err
+	}
+	if req.DeadlineMS < 0 || req.DeadlineMS > maxDeadlineMS {
+		return chortle.Options{}, 0, fmt.Errorf("deadline_ms %d out of range [0,%d]", req.DeadlineMS, maxDeadlineMS)
+	}
+	opts := chortle.DefaultOptions(req.K)
+	opts.Engine = eng
+	opts.Budget.WorkUnits = req.BudgetWorkUnits
+	if err := opts.Validate(); err != nil {
+		return chortle.Options{}, 0, err
+	}
+	return opts, time.Duration(req.DeadlineMS) * time.Millisecond, nil
+}
+
 // statusRecorder remembers whether a handler already committed a
 // response (so the panic isolator knows if a 500 can still be sent)
 // and which status it sent (so the trace middleware can classify the
@@ -517,9 +543,10 @@ func (s *mapServer) handleMap(m *serverMetrics) http.HandlerFunc {
 			writeJSON(w, http.StatusBadRequest, errResponse{err.Error()})
 			return
 		}
-		// An unknown engine is refused before the request costs a queue
-		// slot; the parsed value configures the solve below.
-		eng, err := chortle.ParseEngine(req.Engine)
+		// A request the mapper would refuse is refused before it costs a
+		// queue slot or a BLIF parse; the checked options configure the
+		// solve below.
+		opts, deadline, err := admit(req)
 		if err != nil {
 			admSpan.End()
 			m.clientErr.Inc()
@@ -527,6 +554,7 @@ func (s *mapServer) handleMap(m *serverMetrics) http.HandlerFunc {
 			writeJSON(w, http.StatusBadRequest, errResponse{err.Error()})
 			return
 		}
+		eng := opts.Engine
 		st.setRequest(eng.String(), req.K)
 		admSpan.Annotate("engine", eng.String())
 		admSpan.End()
@@ -573,8 +601,8 @@ func (s *mapServer) handleMap(m *serverMetrics) http.HandlerFunc {
 		if r.Context().Err() != nil {
 			return // client gone while queued; nobody is listening
 		}
-		if req.DeadlineMS > 0 {
-			remaining := time.Duration(req.DeadlineMS)*time.Millisecond - waited
+		if deadline > 0 {
+			remaining := deadline - waited
 			if remaining <= 0 {
 				m.timeout.Inc()
 				st.noteErr("deadline expired in queue")
@@ -631,10 +659,7 @@ func (s *mapServer) handleMap(m *serverMetrics) http.HandlerFunc {
 			return
 		}
 		st.noteCircuit(nw.Name)
-		opts := chortle.DefaultOptions(req.K)
-		opts.Engine = eng
 		opts.SharedCache = s.cfg.cache
-		opts.Budget.WorkUnits = req.BudgetWorkUnits
 		// The request trace's bounded collector rides beside the
 		// process-wide metrics bridge, joining the engine's own phase
 		// events to this request's span tree.
@@ -645,8 +670,8 @@ func (s *mapServer) handleMap(m *serverMetrics) http.HandlerFunc {
 		}
 
 		ctx := r.Context()
-		if req.DeadlineMS > 0 {
-			remaining := time.Duration(req.DeadlineMS)*time.Millisecond - time.Since(admitted)
+		if deadline > 0 {
+			remaining := deadline - time.Since(admitted)
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, remaining)
 			defer cancel()

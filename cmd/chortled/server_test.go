@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -231,6 +233,87 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /map: HTTP %d, want 405", resp.StatusCode)
 	}
+}
+
+// badParamCases are query strings the admission check must refuse
+// before a request takes a queue slot or parses its BLIF.
+var badParamCases = []struct{ name, query string }{
+	{"deadline overflows time.Duration", "deadline_ms=9223372036855"},
+	{"negative deadline", "deadline_ms=-5"},
+	{"k out of range", "k=99"},
+	{"negative budget", "budget_work_units=-1"},
+	{"unknown engine", "engine=bogus"},
+}
+
+// TestServerRefusesBadParamsBeforeSlot holds the only slot with no
+// queue, so a request that reached acquire would answer 429: every bad
+// parameter must answer 400 instead, and none may count as a 504.
+func TestServerRefusesBadParamsBeforeSlot(t *testing.T) {
+	s, ts := newTestServer(t, serverConfig{maxInflight: 1})
+	release, ok := s.acquire(context.Background())
+	if !ok {
+		t.Fatal("could not hold the slot")
+	}
+	defer release()
+	blif := benchBLIF(t, bench.Suite()[0])
+	for _, c := range badParamCases {
+		resp, _ := postMap(t, ts.URL+"/map?"+c.query, blif, "text/plain")
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s (%s): HTTP %d, want 400", c.name, c.query, resp.StatusCode)
+		}
+	}
+	mt := metricsText(t, s.cfg.reg)
+	for _, want := range []string{
+		fmt.Sprintf(`chortled_requests_total{code="400"} %d`, len(badParamCases)),
+		`chortled_requests_total{code="429"} 0`,
+		`chortled_requests_total{code="504"} 0`,
+	} {
+		if !strings.Contains(mt, want) {
+			t.Errorf("metrics missing %q:\n%s", want, mt)
+		}
+	}
+}
+
+// FuzzMapRequest drives parseMapRequest and the admission check with
+// arbitrary query strings and bodies. Neither may panic, and whatever
+// they admit must be mappable: K in 2..6, an engine that parses, and a
+// deadline that is a non-negative duration.
+func FuzzMapRequest(f *testing.F) {
+	const blif = ".model m\n.inputs a\n.outputs y\n.names a y\n1 1\n.end\n"
+	for _, c := range badParamCases {
+		f.Add(c.query, blif, false)
+	}
+	f.Add("k=4&deadline_ms=250&engine=cut", blif, false)
+	f.Add("", `{"blif":"x","k":99,"deadline_ms":-5}`, true)
+	f.Add("k=3", `{"blif":"x","engine":"mis","budget_work_units":7}`, true)
+	f.Fuzz(func(t *testing.T, query, body string, asJSON bool) {
+		r := &http.Request{
+			Method: http.MethodPost,
+			URL:    &url.URL{Path: "/map", RawQuery: query},
+			Header: http.Header{},
+			Body:   io.NopCloser(strings.NewReader(body)),
+		}
+		if asJSON {
+			r.Header.Set("Content-Type", "application/json")
+		}
+		req, err := parseMapRequest(r, 4)
+		if err != nil {
+			return
+		}
+		opts, deadline, err := admit(req)
+		if err != nil {
+			return
+		}
+		if opts.K < 2 || opts.K > 6 {
+			t.Fatalf("admitted K=%d", opts.K)
+		}
+		if _, err := chortle.ParseEngine(req.Engine); err != nil {
+			t.Fatalf("admitted engine %q: %v", req.Engine, err)
+		}
+		if deadline < 0 || deadline/time.Millisecond != time.Duration(req.DeadlineMS) {
+			t.Fatalf("deadline_ms %d admitted as %v", req.DeadlineMS, deadline)
+		}
+	})
 }
 
 // TestServerAdmission exercises the bounded queue deterministically at

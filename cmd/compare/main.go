@@ -47,7 +47,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		kFlag    = fs.Int("k", 0, "single K to run (default: 2,3,4,5)")
 		circuits = fs.String("circuits", "", "comma-separated circuit subset (default: all twelve)")
 		noverify = fs.Bool("noverify", false, "skip simulation verification of the mapped circuits")
-		parallel = fs.Bool("parallel", true, "compute tree DPs on the worker pool (identical output either way)")
 		stats    = fs.Bool("stats", false, "print each Chortle mapping's observability report to stderr")
 		trace    = fs.String("trace", "", "stream every Chortle mapping's events as JSON lines to this file")
 		timeout  = fs.Duration("timeout", 0, "hard per-circuit wall-clock limit for the Chortle map (0 = none)")
@@ -94,10 +93,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ks = []int{2, 3, 4, 5}
 	}
 	opts := chortle.CompareOptions{
-		Verify:     !*noverify,
-		Sequential: !*parallel,
-		Timeout:    *timeout,
-		Budget:     *budget,
+		Verify:  !*noverify,
+		Timeout: *timeout,
+		Budget:  *budget,
 		// -report needs each run's aggregated stats for its charts, so it
 		// turns collection on even without -stats (which only controls the
 		// stderr dump).

@@ -135,10 +135,6 @@ type CompareOptions struct {
 	// VerifyPatterns is the number of random 64-pattern blocks used for
 	// circuits too wide for exhaustive checking (default 16).
 	VerifyPatterns int
-	// Sequential disables the parallel DP pipeline for the Chortle runs,
-	// timing the single-threaded mapper (the emitted circuits are
-	// identical either way).
-	Sequential bool
 	// Timeout is a hard per-circuit wall-clock limit on the Chortle
 	// mapping (0 = none). A circuit that exceeds it fails the run with
 	// context.DeadlineExceeded.
@@ -243,9 +239,6 @@ func compareOne(c bench.Circuit, k int, o CompareOptions, engines []Engine) (Row
 	for i, eng := range engines {
 		copts := DefaultOptions(k)
 		copts.Engine = eng
-		if o.Sequential {
-			copts.Parallel = false
-		}
 		copts.Budget.WorkUnits = o.Budget
 		var col *Collector
 		if i == 0 {

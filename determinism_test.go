@@ -1,6 +1,8 @@
 package chortle
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -9,11 +11,26 @@ import (
 	"chortle/internal/network"
 )
 
-// The performance machinery — the parallel DP pipeline and the
-// isomorphic-tree memoization — must be invisible in the output: for
-// every circuit and every K, the emitted BLIF is byte-identical no
-// matter which combination of switches is on. This is the property that
-// lets DefaultOptions enable both unconditionally.
+// The performance machinery — the solve pool and the isomorphic-tree
+// memoization — must be invisible in the output: for every circuit and
+// every K, the emitted BLIF is byte-identical whatever the worker count.
+// The grids below run at GOMAXPROCS 1, where the pool runs inline, and
+// at GOMAXPROCS 4, where several workers race for the trees.
+
+// setProcs sets GOMAXPROCS to n for the rest of the test. GOMAXPROCS is
+// process-wide, so never call it from a t.Parallel test.
+func setProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// forEachProcs runs fn at GOMAXPROCS 1 and 4.
+func forEachProcs(t *testing.T, fn func(procs int)) {
+	for _, procs := range []int{1, 4} {
+		setProcs(t, procs)
+		fn(procs)
+	}
+}
 
 var (
 	detOnce sync.Once
@@ -51,94 +68,73 @@ func mapToBLIF(t *testing.T, nw *Network, opts Options) string {
 // TestBudgetedMappingDeterministic pins the determinism guarantee of
 // Options.Budget: a work budget generous enough never to be exhausted
 // must leave the emitted BLIF byte-identical to an unbudgeted run —
-// the metering counters may not influence any search decision — in all
-// four Parallel x Memoize modes.
+// the metering counters may not influence any search decision — at
+// every worker count.
 func TestBudgetedMappingDeterministic(t *testing.T) {
 	nets := determinismSuite(t)
-	for _, c := range bench.Suite() {
-		nw := nets[c.Name]
-		for _, par := range []bool{false, true} {
-			for _, memo := range []bool{false, true} {
-				opts := DefaultOptions(4)
-				opts.Parallel, opts.Memoize = par, memo
-				ref := mapToBLIF(t, nw, opts)
-				opts.Budget.WorkUnits = 1 << 40
-				got := mapToBLIF(t, nw, opts)
-				if got != ref {
-					t.Errorf("%s parallel=%v memoize=%v: budgeted BLIF differs from unbudgeted",
-						c.Name, par, memo)
-				}
+	forEachProcs(t, func(procs int) {
+		for _, c := range bench.Suite() {
+			nw := nets[c.Name]
+			opts := DefaultOptions(4)
+			ref := mapToBLIF(t, nw, opts)
+			opts.Budget.WorkUnits = 1 << 40
+			if got := mapToBLIF(t, nw, opts); got != ref {
+				t.Errorf("%s, %d workers: budgeted BLIF differs from unbudgeted", c.Name, procs)
 			}
 		}
-	}
+	})
 }
 
 // TestObservedMappingDeterministic pins the observability layer's
-// read-only guarantee: with Options.Observer attached (and pprof labels
-// on), the emitted BLIF is byte-identical to the unobserved run in
-// every Parallel x Memoize x Budget combination.
+// read-only guarantee: with Options.Observer attached, the emitted BLIF
+// is byte-identical to the unobserved run at every worker count and
+// Budget.
 func TestObservedMappingDeterministic(t *testing.T) {
 	nets := determinismSuite(t)
-	for _, c := range bench.Suite() {
-		nw := nets[c.Name]
-		for _, par := range []bool{false, true} {
-			for _, memo := range []bool{false, true} {
-				for _, budget := range []int64{0, 1 << 40} {
-					opts := DefaultOptions(4)
-					opts.Parallel, opts.Memoize = par, memo
-					opts.Budget.WorkUnits = budget
-					ref := mapToBLIF(t, nw, opts)
-					var col Collector
-					opts.Observer = &col
-					opts.PprofLabels = true
-					got := mapToBLIF(t, nw, opts)
-					if got != ref {
-						t.Errorf("%s parallel=%v memoize=%v budget=%d: observed BLIF differs from unobserved",
-							c.Name, par, memo, budget)
-					}
-					if col.Len() == 0 {
-						t.Errorf("%s parallel=%v memoize=%v budget=%d: observer saw no events",
-							c.Name, par, memo, budget)
-					}
+	forEachProcs(t, func(procs int) {
+		for _, c := range bench.Suite() {
+			nw := nets[c.Name]
+			for _, budget := range []int64{0, 1 << 40} {
+				opts := DefaultOptions(4)
+				opts.Budget.WorkUnits = budget
+				ref := mapToBLIF(t, nw, opts)
+				var col Collector
+				opts.Observer = &col
+				if got := mapToBLIF(t, nw, opts); got != ref {
+					t.Errorf("%s, %d workers, budget=%d: observed BLIF differs from unobserved",
+						c.Name, procs, budget)
+				}
+				if col.Len() == 0 {
+					t.Errorf("%s, %d workers, budget=%d: observer saw no events", c.Name, procs, budget)
 				}
 			}
 		}
-	}
+	})
 }
 
+// TestMappingDeterministicAcrossModes pins the suite's BLIF at K=2..5
+// as identical at every worker count.
 func TestMappingDeterministicAcrossModes(t *testing.T) {
 	nets := determinismSuite(t)
-	modes := []struct {
-		name              string
-		parallel, memoize bool
-	}{
-		{"sequential", false, false},
-		{"memoized", false, true},
-		{"parallel", true, false},
-		{"parallel+memoized", true, true},
-	}
-	for _, c := range bench.Suite() {
-		nw := nets[c.Name]
-		for k := 2; k <= 5; k++ {
-			opts := DefaultOptions(k)
-			opts.Parallel, opts.Memoize = false, false
-			ref := mapToBLIF(t, nw, opts)
-			for _, mode := range modes[1:] {
-				opts.Parallel, opts.Memoize = mode.parallel, mode.memoize
-				got := mapToBLIF(t, nw, opts)
-				if got != ref {
-					t.Errorf("%s K=%d: %s BLIF differs from sequential", c.Name, k, mode.name)
+	ref := make(map[string]string)
+	forEachProcs(t, func(procs int) {
+		for _, c := range bench.Suite() {
+			for k := 2; k <= 5; k++ {
+				key := fmt.Sprintf("%s K=%d", c.Name, k)
+				got := mapToBLIF(t, nets[c.Name], DefaultOptions(k))
+				if want, ok := ref[key]; !ok {
+					ref[key] = got
+				} else if got != want {
+					t.Errorf("%s: %d-worker BLIF differs from the 1-worker one", key, procs)
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestCutEngineDeterministic extends the determinism guarantee to the
-// priority-cut engine: Parallel and Memoize are tree-engine switches
-// the cut engine ignores, but flipping them — or simply running again,
-// with or without an observer — must leave the emitted BLIF
-// byte-identical.
+// priority-cut engine: running it at any worker count, again, or with
+// an observer must leave the emitted BLIF byte-identical.
 func TestCutEngineDeterministic(t *testing.T) {
 	nets := determinismSuite(t)
 	for _, c := range bench.Suite() {
@@ -147,20 +143,11 @@ func TestCutEngineDeterministic(t *testing.T) {
 			base := DefaultOptions(k)
 			base.Engine = EngineCut
 			ref := mapToBLIF(t, nw, base)
-			for _, par := range []bool{false, true} {
-				for _, memo := range []bool{false, true} {
-					opts := base
-					opts.Parallel, opts.Memoize = par, memo
-					if got := mapToBLIF(t, nw, opts); got != ref {
-						t.Errorf("%s K=%d parallel=%v memoize=%v: cut BLIF differs",
-							c.Name, k, par, memo)
-					}
+			forEachProcs(t, func(procs int) {
+				if got := mapToBLIF(t, nw, base); got != ref {
+					t.Errorf("%s K=%d, %d workers: cut BLIF differs", c.Name, k, procs)
 				}
-			}
-			// Repeated runs and observed runs are byte-identical too.
-			if got := mapToBLIF(t, nw, base); got != ref {
-				t.Errorf("%s K=%d: repeated cut run differs", c.Name, k)
-			}
+			})
 			var col Collector
 			obs := base
 			obs.Observer = &col

@@ -2,7 +2,6 @@ package chortle
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,9 +9,8 @@ import (
 
 // The DOT exporter's output for a provenance-recorded mapping is pinned
 // byte for byte in testdata/golden_dot/: the graph must not depend on
-// the Parallel or Memoize settings (clusters come from provenance
-// trees, colors from the mode-independent origin class). Regenerate
-// with: go test -run TestGoldenDOT -update
+// the worker count (clusters come from provenance trees, colors from
+// the origin class). Regenerate with: go test -run TestGoldenDOT -update
 
 func goldenDOTPath(circuit string) string {
 	return filepath.Join("testdata", "golden_dot", circuit+".dot")
@@ -24,45 +22,41 @@ var dotCircuits = []string{"majority", "xor5", "rd53"}
 func TestGoldenDOT(t *testing.T) {
 	for _, name := range dotCircuits {
 		name := name
+		// Not t.Parallel: the subtests set the process-wide GOMAXPROCS.
 		t.Run(name, func(t *testing.T) {
-			t.Parallel()
 			nw, err := BenchmarkNetwork(name)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var want []byte
-			for _, parallel := range []bool{false, true} {
-				for _, memoize := range []bool{false, true} {
-					opts := DefaultOptions(4)
-					opts.Parallel, opts.Memoize = parallel, memoize
-					opts.Provenance = true
-					res, err := Map(nw, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					var buf bytes.Buffer
-					if err := WriteCircuitDOT(&buf, res.Circuit); err != nil {
-						t.Fatal(err)
-					}
-					if err := ValidateDOT(buf.Bytes()); err != nil {
-						t.Fatalf("exported DOT fails validation: %v", err)
-					}
-					mode := fmt.Sprintf("parallel=%v memoize=%v", parallel, memoize)
-					if want == nil {
-						want = buf.Bytes()
-						if *updateGolden {
-							if err := os.MkdirAll(filepath.Dir(goldenDOTPath(name)), 0o755); err != nil {
-								t.Fatal(err)
-							}
-							if err := os.WriteFile(goldenDOTPath(name), want, 0o644); err != nil {
-								t.Fatal(err)
-							}
-						}
-					} else if !bytes.Equal(want, buf.Bytes()) {
-						t.Fatalf("DOT output differs at %s — export must be mode-independent", mode)
-					}
+			forEachProcs(t, func(procs int) {
+				opts := DefaultOptions(4)
+				opts.Provenance = true
+				res, err := Map(nw, opts)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
+				var buf bytes.Buffer
+				if err := WriteCircuitDOT(&buf, res.Circuit); err != nil {
+					t.Fatal(err)
+				}
+				if err := ValidateDOT(buf.Bytes()); err != nil {
+					t.Fatalf("exported DOT fails validation: %v", err)
+				}
+				if want == nil {
+					want = buf.Bytes()
+					if *updateGolden {
+						if err := os.MkdirAll(filepath.Dir(goldenDOTPath(name)), 0o755); err != nil {
+							t.Fatal(err)
+						}
+						if err := os.WriteFile(goldenDOTPath(name), want, 0o644); err != nil {
+							t.Fatal(err)
+						}
+					}
+				} else if !bytes.Equal(want, buf.Bytes()) {
+					t.Fatalf("DOT output differs at %d workers — export must not depend on the worker count", procs)
+				}
+			})
 			golden, err := os.ReadFile(goldenDOTPath(name))
 			if err != nil {
 				t.Fatalf("%v (run with -update to regenerate)", err)

@@ -75,8 +75,8 @@ func ExampleDefaultOptions() {
 // ExampleWriteCircuitDOT is the README's explainability example: map
 // with provenance recording on, read each LUT's origin record back, and
 // export the circuit as a Graphviz digraph. Both the mapping and the
-// DOT bytes are deterministic — across runs and across the Parallel
-// and Memoize settings — which is what makes the output pinnable here.
+// DOT bytes are deterministic — across runs and worker counts — which
+// is what makes the output pinnable here.
 func ExampleWriteCircuitDOT() {
 	const blif = `.model demo
 .inputs a b c d e

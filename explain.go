@@ -60,7 +60,7 @@ func WriteForestDOT(w io.Writer, nw *Network) error {
 // provenance (Options.Provenance), LUTs are clustered by owning tree,
 // labeled with their decomposition shape, and colored by origin class;
 // without provenance the graph is flat. Deterministic either way — in
-// particular, identical across the Parallel and Memoize settings.
+// particular, identical at every worker count.
 func WriteCircuitDOT(w io.Writer, c *Circuit) error {
 	return explain.CircuitDOT(w, c)
 }

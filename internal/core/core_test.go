@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"chortle/internal/forest"
@@ -825,32 +826,47 @@ func TestMapNaive(t *testing.T) {
 	}
 }
 
-// TestParallelMappingIdentical: the concurrent DP path must produce a
-// byte-identical circuit to the sequential one.
+// setProcs sets GOMAXPROCS to n for the rest of the test. GOMAXPROCS
+// is process-wide, so never call it from a t.Parallel test.
+func setProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// forEachProcs runs fn at GOMAXPROCS 1 (the solve pool's inline path)
+// and 4 (a multi-worker pool).
+func forEachProcs(t *testing.T, fn func(procs int)) {
+	for _, procs := range []int{1, 4} {
+		setProcs(t, procs)
+		fn(procs)
+	}
+}
+
+// TestParallelMappingIdentical: the solve pool must produce a
+// byte-identical circuit whatever its worker count.
 func TestParallelMappingIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	for trial := 0; trial < 15; trial++ {
 		nw := randomDAG(rng, 6, 15+rng.Intn(20))
 		for _, k := range []int{3, 5} {
-			so := DefaultOptions(k)
-			so.Parallel, so.Memoize = false, false
-			seq, err := Map(nw, so)
-			if err != nil {
-				t.Fatal(err)
-			}
-			o := DefaultOptions(k)
-			o.Parallel, o.Memoize = true, true
-			par, err := Map(nw, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if seq.LUTs != par.LUTs || seq.Trees != par.Trees {
-				t.Fatalf("trial %d K=%d: parallel got %d/%d vs %d/%d",
-					trial, k, par.LUTs, par.Trees, seq.LUTs, seq.Trees)
-			}
-			if seq.Circuit.String() != par.Circuit.String() {
-				t.Fatalf("trial %d K=%d: parallel circuit differs structurally", trial, k)
-			}
+			var want *Result
+			forEachProcs(t, func(procs int) {
+				res, err := Map(nw, DefaultOptions(k))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = res
+					return
+				}
+				if res.LUTs != want.LUTs || res.Trees != want.Trees {
+					t.Fatalf("trial %d K=%d: %d workers got %d/%d vs %d/%d",
+						trial, k, procs, res.LUTs, res.Trees, want.LUTs, want.Trees)
+				}
+				if res.Circuit.String() != want.Circuit.String() {
+					t.Fatalf("trial %d K=%d: %d-worker circuit differs structurally", trial, k, procs)
+				}
+			})
 		}
 	}
 }

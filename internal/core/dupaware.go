@@ -34,7 +34,7 @@ func MapDuplicateCostAware(input *network.Network, opts Options) (*Result, int, 
 // — duplications accepted so far are kept and the final mapping
 // degrades per-tree like any budgeted MapCtx call.
 func MapDuplicateCostAwareCtx(ctx context.Context, input *network.Network, opts Options) (*Result, int, error) {
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, 0, err
 	}
 	if opts.Engine != EngineTree {

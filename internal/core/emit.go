@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math/bits"
 	"strconv"
@@ -224,14 +223,9 @@ func (m *mapper) emitLUT(dp *nodeDP, s uint32, u int, name string, pf *provFrame
 	return name, nil
 }
 
-// realizeTreeFromDP reconstructs a tree's circuit from a computed DP.
+// realizeTreeFromDP reconstructs a tree's circuit from a computed,
+// mappable DP.
 func (m *mapper) realizeTreeFromDP(root *network.Node, dp *nodeDP) (int32, error) {
-	if dp == nil {
-		return 0, fmt.Errorf("core: missing DP for tree %q", root.Name)
-	}
-	if dp.bestCost >= infinity {
-		return 0, errUnmappable(root.Name, m.opts.K)
-	}
 	name := root.Name
 	if m.ckt.Find(name) != nil || m.cktHasInput(name) {
 		name = m.fresh(root.Name)
@@ -251,63 +245,19 @@ func errDegraded(name string) error {
 	return fmt.Errorf("core: tree %q: %w", name, cerrs.ErrBudgetExhausted)
 }
 
-// realizeTreeCtx maps the tree rooted at root using the per-Map context:
-// through the shape memo when memoization is on, from the parallel
-// prepass's DP when one exists, or with a fresh solve in the context's
-// sequential arena. An error wrapping cerrs.ErrBudgetExhausted means
-// the tree's solve ran out of budget and the caller should degrade it;
-// any other error aborts the mapping.
-func (m *mapper) realizeTreeCtx(root *network.Node, mc *mapCtx) (int32, error) {
-	if mc.cache != nil {
-		return m.realizeTreeMemo(root, mc)
-	}
-	if dp, ok := mc.prebuilt[root]; ok {
-		if dp == nil {
-			return 0, errDegraded(root.Name)
-		}
-		m.setProvTree(root.Name, lut.OriginFresh, mc.prebuiltUnits[root])
-		return m.realizeTreeFromDP(root, dp)
-	}
-	gov := mc.newGov()
-	start := mc.tr.now()
-	dp, err := solveDP(mc.seqArena, m.f, root, m.opts, gov)
-	if err != nil {
-		return 0, err
-	}
-	mc.tr.treeSolve(root.Name, gov.units, dp.bestCost, start)
-	m.setProvTree(root.Name, lut.OriginFresh, gov.units)
-	return m.realizeTreeFromDP(root, dp)
-}
-
-// realizeTreeMemo maps one tree through the shape memo. A shape hit
-// reuses the cached DP tables (rebound to this tree's nodes); a
-// (shape, leaf-pattern) hit replays the recorded emission outright. On
-// a full miss the tree is solved and reconstructed normally with no
-// further memo machinery: most shapes never repeat, so templates are
+// realizeTreeMemo maps one tree through the shape cache that
+// solveShapes filled. A shape hit reuses the cached DP tables (rebound
+// to this tree's nodes); a (shape, leaf-pattern) hit replays the
+// recorded emission outright. Most shapes never repeat, so templates are
 // recorded only from a shape's second instance on, once repetition is
-// proven. (A shape seen exactly twice reconstructs twice; from the
-// third instance on it replays.)
+// proven. (A shape seen exactly twice reconstructs twice; from the third
+// instance on it replays.) An error wrapping cerrs.ErrBudgetExhausted
+// means the shape's solve ran out of budget and the caller should
+// degrade the tree; any other error aborts the mapping.
 func (m *mapper) realizeTreeMemo(root *network.Node, mc *mapCtx) (int32, error) {
-	si := mc.infoFor(root)
-	e := mc.cache.lookup(m.f, root, si)
+	e := mc.shapes[root]
 	if e == nil {
-		e = &shapeEntry{f: m.f, rep: root, templates: make(map[string]*emitTemplate)}
-		gov := mc.newGov()
-		start := mc.tr.now()
-		dp, err := solveDP(mc.seqArena, m.f, root, m.opts, gov)
-		if err != nil {
-			if !errors.Is(err, cerrs.ErrBudgetExhausted) {
-				return 0, err
-			}
-			e.degraded = true
-		}
-		if !e.degraded {
-			mc.tr.treeSolve(root.Name, gov.units, dp.bestCost, start)
-		}
-		e.dp = dp
-		e.units = gov.units
-		mc.cache.insert(si, e)
-		mc.cache.publish(root, si, e)
+		return 0, fmt.Errorf("core: tree %q has no solved shape", root.Name)
 	}
 	if e.degraded {
 		return 0, errDegraded(root.Name)
@@ -316,22 +266,15 @@ func (m *mapper) realizeTreeMemo(root *network.Node, mc *mapCtx) (int32, error) 
 		return 0, errUnmappable(root.Name, m.opts.K)
 	}
 	dp := e.dp
-	switch {
-	case e.frozen:
-		// Cross-run hit: the cached tables are a frozen copy with no
-		// live node or edge pointers, so even this run's first instance
-		// of the shape rebinds. Its solve happened in another run —
-		// memo-reuse origin, zero work units.
-		mc.tr.memoHit(root.Name, e.dp.bestCost)
-		dp = rebindDP(mc.seqArena, e.dp, m.f, root)
-		m.setProvTree(root.Name, lut.OriginMemo, 0)
-	case e.rep != root:
-		mc.tr.memoHit(root.Name, e.dp.bestCost)
-		dp = rebindDP(mc.seqArena, e.dp, m.f, root)
+	if e.frozen || e.rep != root {
 		// A memo hit did no search of its own; its records carry the
-		// reuse origin and zero work units.
+		// reuse origin and zero work units. A cross-run hit's tables are
+		// a frozen copy with no live node or edge pointers, so even this
+		// run's first instance of the shape rebinds.
+		mc.tr.memoHit(root.Name, e.dp.bestCost)
+		dp = rebindDP(mc.seqArena, e.dp, m.f, root)
 		m.setProvTree(root.Name, lut.OriginMemo, 0)
-	default:
+	} else {
 		m.setProvTree(root.Name, lut.OriginFresh, e.units)
 	}
 	if !e.seen {

@@ -29,8 +29,8 @@ const (
 	// K-feasible cut enumeration over the whole network with area-flow
 	// cover selection — the engine that sees through reconvergent
 	// fanout. Tree-engine tuning options (Strategy, SplitThreshold,
-	// DisableDecomposition, Parallel, Memoize, Budget, SharedCache) do
-	// not apply and are ignored.
+	// DisableDecomposition, Budget, SharedCache) do not apply and are
+	// ignored.
 	EngineCut
 )
 

@@ -63,7 +63,7 @@ func Map(input *network.Network, opts Options) (*Result, error) {
 // returned. Budgets (Options.Budget) are independent of the context:
 // they degrade trees instead of failing, see Result.Degraded.
 func MapCtx(ctx context.Context, input *network.Network, opts Options) (*Result, error) {
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -126,17 +126,16 @@ func MapCtx(ctx context.Context, input *network.Network, opts Options) (*Result,
 	arrivals := make(map[*network.Node]int32)
 	// With the default strategy and objective, per-tree DPs are
 	// independent (tree costs never depend on other trees' results), so
-	// they can run concurrently and identical shapes can share one solve;
+	// they run concurrently and identical shapes share one solve;
 	// reconstruction stays sequential for deterministic naming. The
 	// bin-packing and depth paths keep their own per-tree state. mctx
 	// also carries the run's cancellation/budget plumbing, which the
 	// depth path borrows for its governors.
 	mctx := newMapCtx(ctx, f, opts)
 	defer mctx.release()
-	exhaustiveArea := opts.Strategy == StrategyExhaustive && !opts.OptimizeDepth
-	if exhaustiveArea && opts.Parallel {
+	if opts.Strategy == StrategyExhaustive && !opts.OptimizeDepth {
 		endPhase = tr.phase("solve")
-		err := mctx.buildDPsParallel()
+		err := mctx.solveShapes()
 		endPhase()
 		if err != nil {
 			return nil, err
@@ -162,7 +161,7 @@ func MapCtx(ctx context.Context, input *network.Network, opts Options) (*Result,
 				tr.treeSolve(root.Name, gov.units, cost, solveStart)
 			}
 		default:
-			cost, err = m.realizeTreeCtx(root, mctx)
+			cost, err = m.realizeTreeMemo(root, mctx)
 		}
 		if err != nil && errors.Is(err, cerrs.ErrBudgetExhausted) {
 			// Budget ran out on this tree: degrade it to the bin-packing
@@ -248,8 +247,8 @@ func MapCtx(ctx context.Context, input *network.Network, opts Options) (*Result,
 
 // TreeCosts maps the network and returns the per-tree optimal LUT
 // counts, keyed by tree root name — the quantity the optimality tests
-// compare against exhaustive reference enumeration. With
-// Options.Parallel set, tree DPs are solved on the worker pool.
+// compare against exhaustive reference enumeration. Tree DPs are solved
+// on the worker pool.
 func TreeCosts(input *network.Network, opts Options) (map[string]int, error) {
 	return treeCosts(context.Background(), input, opts, nil)
 }
@@ -261,7 +260,7 @@ func TreeCosts(input *network.Network, opts Options) (map[string]int, error) {
 // fallback, so cancellation, deadline expiry and budget exhaustion all
 // surface as errors here (the latter wrapping cerrs.ErrBudgetExhausted).
 func treeCosts(ctx context.Context, input *network.Network, opts Options, cm *costMemo) (map[string]int, error) {
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -282,48 +281,33 @@ func treeCosts(ctx context.Context, input *network.Network, opts Options, cm *co
 	mctx := newMapCtx(ctx, f, opts)
 	defer mctx.release()
 	costs := make([]int32, len(f.Roots))
-	var hs []uint64
+	hs := make([]uint64, len(f.Roots))
 	unknown := make([]int, 0, len(f.Roots))
-	if cm != nil {
-		hs = make([]uint64, len(f.Roots))
-		for i, root := range f.Roots {
+	for i, root := range f.Roots {
+		if cm != nil {
 			hs[i] = treeHash(f, root, mctx.seed)
 			if c, ok := cm.lookup(f, root, hs[i]); ok {
 				costs[i] = c
-			} else {
-				unknown = append(unknown, i)
+				continue
 			}
 		}
-	} else {
-		for i := range f.Roots {
-			unknown = append(unknown, i)
-		}
+		unknown = append(unknown, i)
 	}
 
 	solved := make([]int32, len(unknown))
-	if opts.Parallel {
-		err := mctx.runPool(len(unknown), func(a *dpArena, j int) error {
-			dp, err := solveDP(a, f, f.Roots[unknown[j]], opts, mctx.newGov())
-			if err != nil {
-				return err
-			}
-			solved[j] = dp.bestCost
-			return nil
-		})
+	err = mctx.runPool(len(unknown), func(a *dpArena, j int) error {
+		// Only the cost survives each solve, so the worker's arena is
+		// recycled tree by tree.
+		a.reset()
+		dp, err := solveDP(a, f, f.Roots[unknown[j]], opts, mctx.newGov())
 		if err != nil {
-			return nil, err
+			return err
 		}
-	} else {
-		for j, i := range unknown {
-			// Only the cost survives each solve, so the arena can be
-			// recycled tree by tree.
-			mctx.seqArena.reset()
-			dp, err := solveDP(mctx.seqArena, f, f.Roots[i], opts, mctx.newGov())
-			if err != nil {
-				return nil, err
-			}
-			solved[j] = dp.bestCost
-		}
+		solved[j] = dp.bestCost
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	for j, i := range unknown {
 		costs[i] = solved[j]

@@ -44,8 +44,8 @@ type shapeEntry struct {
 
 	// degraded marks a shape whose solve exhausted its search budget
 	// (dp is nil). Every tree of the shape degrades to bin packing —
-	// the work cost of a shape is deterministic, so this keeps the
-	// degraded set identical with memoization on or off.
+	// the work cost of a shape is deterministic, so these are exactly
+	// the trees that a solve of their own would degrade.
 	degraded bool
 
 	// seen is set once a tree of this shape has been reconstructed. Most
@@ -113,49 +113,6 @@ func (m *shapeMemo) insert(si shapeInfo, e *shapeEntry) {
 	e.nodes, e.leaves = si.nodes, si.leaves
 	m.buckets[si.hash] = append(m.buckets[si.hash], e)
 }
-
-// shapeCache is the seam between one Map run and its shape storage. Two
-// implementations exist: runShapeCache, the per-run memo with exactly
-// the pre-refactor behavior (the default), and tieredShapeCache
-// (sharedcache.go), which backs the per-run memo with a process-wide
-// SharedShapeCache so solves and templates survive across Map calls.
-// All methods are called from the run's main goroutine only; the tiered
-// implementation handles cross-run concurrency internally.
-type shapeCache interface {
-	// lookup returns this run's entry for root's shape, or nil. The
-	// tiered implementation may materialize an entry from cross-run
-	// storage; either way a non-nil entry is registered in the run.
-	lookup(f *forest.Forest, root *network.Node, si shapeInfo) *shapeEntry
-	// insert registers a freshly created (possibly not yet solved)
-	// entry for root's shape.
-	insert(si shapeInfo, e *shapeEntry)
-	// publish offers a fully solved entry to cross-run storage. A no-op
-	// for the per-run cache; the tiered cache freezes and stores it
-	// unless it is degraded, unmappable, or already shared.
-	publish(root *network.Node, si shapeInfo, e *shapeEntry)
-	// stats reports the run's cross-run hit/miss counts (distinct
-	// shapes resolved from / missing in the shared tier; always zero
-	// for the per-run cache).
-	stats() (hits, misses int)
-}
-
-// runShapeCache is the default shapeCache: the per-run memo and nothing
-// else. Byte-for-byte the pre-refactor behavior.
-type runShapeCache struct {
-	memo *shapeMemo
-}
-
-func newRunShapeCache() *runShapeCache { return &runShapeCache{memo: newShapeMemo()} }
-
-func (c *runShapeCache) lookup(f *forest.Forest, root *network.Node, si shapeInfo) *shapeEntry {
-	return c.memo.lookup(f, root, si)
-}
-
-func (c *runShapeCache) insert(si shapeInfo, e *shapeEntry) { c.memo.insert(si, e) }
-
-func (c *runShapeCache) publish(*network.Node, shapeInfo, *shapeEntry) {}
-
-func (c *runShapeCache) stats() (int, int) { return 0, 0 }
 
 // rebindDP binds cached DP tables — solved on a structurally identical
 // tree — to the nodes of the tree rooted at root. The flat table slabs

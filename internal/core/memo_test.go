@@ -6,6 +6,7 @@ import (
 
 	"chortle/internal/forest"
 	"chortle/internal/network"
+	"chortle/internal/verify"
 )
 
 // chain builds a named network of the shape
@@ -161,9 +162,11 @@ func TestPatternOf(t *testing.T) {
 	}
 }
 
-// TestMemoizedMapMatchesPlain checks LUT counts agree between memoized
-// and plain mapping on a network built to contain many isomorphic trees
-// with varying leaf coincidence (the template cache's hard case).
+// TestMemoizedMapMatchesPlain maps a network built to contain many
+// isomorphic trees with varying leaf coincidence (the template cache's
+// hard case) and checks that the memoized mapping costs exactly what
+// solving every tree on its own does (TreeCosts), simulates like the
+// network, and emits the same bytes at every worker count.
 func TestMemoizedMapMatchesPlain(t *testing.T) {
 	nw := network.New("iso")
 	var ins []*network.Node
@@ -182,28 +185,36 @@ func TestMemoizedMapMatchesPlain(t *testing.T) {
 	}
 
 	for k := 2; k <= 5; k++ {
-		plain := Options{K: k, SplitThreshold: 10}
-		memo := Options{K: k, SplitThreshold: 10, Memoize: true}
-		rp, err := Map(nw, plain)
+		opts := DefaultOptions(k)
+		costs, err := TreeCosts(nw, opts)
 		if err != nil {
-			t.Fatalf("K=%d plain: %v", k, err)
+			t.Fatalf("K=%d tree costs: %v", k, err)
 		}
-		rm, err := Map(nw, memo)
-		if err != nil {
-			t.Fatalf("K=%d memoized: %v", k, err)
+		plain := 0
+		for _, c := range costs {
+			plain += c
 		}
-		if rp.LUTs != rm.LUTs {
-			t.Errorf("K=%d: plain %d LUTs, memoized %d", k, rp.LUTs, rm.LUTs)
-		}
-		var a, b strings.Builder
-		if err := rp.Circuit.WriteBLIF(&a); err != nil {
-			t.Fatal(err)
-		}
-		if err := rm.Circuit.WriteBLIF(&b); err != nil {
-			t.Fatal(err)
-		}
-		if a.String() != b.String() {
-			t.Errorf("K=%d: memoized BLIF differs from plain", k)
-		}
+		var want string
+		forEachProcs(t, func(procs int) {
+			rm, err := Map(nw, opts)
+			if err != nil {
+				t.Fatalf("K=%d memoized: %v", k, err)
+			}
+			if rm.LUTs != plain {
+				t.Errorf("K=%d: per-tree solves total %d LUTs, memoized %d", k, plain, rm.LUTs)
+			}
+			if err := verify.NetworkVsCircuit(nw, rm.Circuit, 16, int64(k)); err != nil {
+				t.Fatalf("K=%d: %v", k, err)
+			}
+			var b strings.Builder
+			if err := rm.Circuit.WriteBLIF(&b); err != nil {
+				t.Fatal(err)
+			}
+			if want == "" {
+				want = b.String()
+			} else if b.String() != want {
+				t.Errorf("K=%d: %d-worker BLIF differs", k, procs)
+			}
+		})
 	}
 }

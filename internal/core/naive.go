@@ -16,7 +16,7 @@ import (
 // entire contribution is the distance between this and Map.
 func MapNaive(input *network.Network, k int) (*Result, error) {
 	opts := DefaultOptions(k)
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	if err := input.Validate(); err != nil {

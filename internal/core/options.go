@@ -65,21 +65,6 @@ type Options struct {
 	// mapping's count and no longer matches any optimality claim.
 	OptimizeDepth bool
 
-	// Parallel computes the per-tree dynamic programs concurrently on a
-	// bounded worker pool (reconstruction stays sequential, so results
-	// and naming are deterministic). Only effective with the default
-	// strategy and the area objective: bin packing emits while mapping,
-	// and the depth objective threads arrival times between trees.
-	Parallel bool
-
-	// Memoize reuses DP solves and recorded emissions across structurally
-	// identical trees within one Map call (real netlists repeat bit-slice
-	// shapes heavily). Every hash hit is verified against the full tree
-	// structure before reuse, and the emitted circuit is byte-identical
-	// with or without the flag. Effective under the same conditions as
-	// Parallel.
-	Memoize bool
-
 	// Budget bounds the exhaustive decomposition search per tree
 	// (work units) and per run (soft wall-clock deadline). Trees that
 	// exhaust it are remapped with StrategyBinPack and listed in
@@ -95,16 +80,10 @@ type Options struct {
 	// zero value disables all instrumentation: every emission site is a
 	// single nil check and the hot path allocates nothing extra.
 	// Observation is strictly read-only — the emitted circuit is
-	// byte-identical with or without an observer, in every
-	// Parallel x Memoize x Budget combination. Sinks must tolerate
-	// concurrent calls: the parallel pipeline emits from its workers.
+	// byte-identical with or without an observer, at every worker count
+	// and Budget. Sinks must tolerate concurrent calls: the solve pool
+	// emits from its workers.
 	Observer obs.Observer
-
-	// PprofLabels tags the parallel pipeline's worker goroutines with
-	// the pprof label chortle=dp-worker, so CPU profiles attribute DP
-	// solve time to the pool rather than to anonymous goroutines. Off
-	// by default; purely observational.
-	PprofLabels bool
 
 	// Provenance records, on the emitted lut.Circuit, a per-LUT
 	// ancestry record: the covered network gate nodes (a partition of
@@ -124,12 +103,13 @@ type Options struct {
 	// process-wide cross-run cache (NewSharedShapeCache): DP solves and
 	// emission templates published by any earlier Map call with
 	// compatible options are reused, and this run's solves are published
-	// back. Effective only with Memoize set; ignored under a wall-clock
-	// budget (Budget.WallClock), whose degradations are timing-dependent
-	// — cache warmth never changes emitted bytes. Every hit is verified
-	// against a canonical shape encoding before reuse, so collisions
-	// degrade to misses, and cached state is immutable after publish,
-	// so any number of Map calls may share one cache concurrently.
+	// back. Only the exhaustive area search uses it, and it is ignored
+	// under a wall-clock budget (Budget.WallClock), whose degradations
+	// are timing-dependent — cache warmth never changes emitted bytes.
+	// Every hit is verified against a canonical shape encoding before
+	// reuse, so collisions degrade to misses, and cached state is
+	// immutable after publish, so any number of Map calls may share one
+	// cache concurrently.
 	SharedCache *SharedShapeCache
 
 	// RepackLUTs enables the post-mapping peephole that merges
@@ -144,14 +124,14 @@ type Options struct {
 }
 
 // DefaultOptions returns the paper's configuration for a given K.
-// Parallel and Memoize are pure performance switches — the mapping and
-// its emitted circuit are identical with them off — so they default on.
 func DefaultOptions(k int) Options {
-	return Options{K: k, SplitThreshold: 10, Parallel: true, Memoize: true}
+	return Options{K: k, SplitThreshold: 10}
 }
 
-// validate rejects out-of-range configurations.
-func (o Options) validate() error {
+// Validate rejects out-of-range configurations: the check every mapping
+// entry point runs first, exported so a server can refuse a bad request
+// before spending anything on it.
+func (o Options) Validate() error {
 	if o.K < 2 || o.K > truth.MaxVars {
 		return fmt.Errorf("core: K=%d out of range [2,%d]: %w", o.K, truth.MaxVars, cerrs.ErrBadK)
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"runtime"
 	"runtime/debug"
-	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,13 +14,12 @@ import (
 	"chortle/internal/network"
 )
 
-// The parallel mapping pipeline. Tree DPs are independent under the
-// default strategy and area objective, so a bounded worker pool
-// (GOMAXPROCS workers, one arena each) computes them concurrently; with
-// memoization on, the pool solves one DP per *distinct* tree shape and
+// The tree-solving pipeline. Tree DPs are independent under the default
+// strategy and area objective, so a bounded worker pool (GOMAXPROCS
+// workers, one arena each) solves one DP per *distinct* tree shape, and
 // reconstruction rebinds the shared tables to each duplicate tree.
 // Reconstruction itself stays sequential, so the emitted circuit is
-// byte-identical to the sequential mapper's output.
+// byte-identical whatever the worker count.
 //
 // The pipeline is also the execution layer's resilience boundary: every
 // pool run observes context cancellation between items (and, through
@@ -30,9 +28,11 @@ import (
 // the per-Map arenas are always returned, whatever kills the run.
 
 // mapCtx carries the per-Map performance and control machinery: the
-// recycled arenas, the shape memo, the root hashes, and the
-// cancellation/budget state. It exists only for the exhaustive-strategy
-// area objective; the bin-packing and depth paths keep their own state.
+// recycled arenas, the shape cache, each root's shape entry, and the
+// cancellation/budget state. The shape cache exists only for the
+// exhaustive-strategy area objective (solveShapes builds it); the
+// bin-packing and depth paths keep their own state and borrow only the
+// governors.
 type mapCtx struct {
 	opts Options
 	f    *forest.Forest
@@ -48,21 +48,14 @@ type mapCtx struct {
 	// WallClock budget is set. Trees solved past it degrade.
 	deadline time.Time
 
-	// cache is the run's shape storage (nil when opts.Memoize is off):
-	// the plain per-run memo, or — when Options.SharedCache is set and
-	// eligible — the tiered cache backing it with cross-run storage.
-	cache shapeCache
-	infos map[*network.Node]shapeInfo // cached per tree root
-
-	// prebuilt holds the parallel path's per-tree DPs when memoization
-	// is off. A present nil entry records a tree whose solve exhausted
-	// its budget and must degrade. prebuiltUnits carries each solve's
-	// metered work units for the trees' provenance records.
-	prebuilt      map[*network.Node]*nodeDP
-	prebuiltUnits map[*network.Node]int64
+	// cache is the run's shape memo, backed by Options.SharedCache when
+	// that is set and eligible; shapes maps every tree root to its
+	// shape's entry. Both are nil until solveShapes runs.
+	cache  *tieredShapeCache
+	shapes map[*network.Node]*shapeEntry
 
 	seqArena *dpArena
-	mu       sync.Mutex // guards arenas during the parallel build
+	mu       sync.Mutex // guards arenas during a pool run
 	arenas   []*dpArena
 }
 
@@ -72,17 +65,6 @@ func newMapCtx(ctx context.Context, f *forest.Forest, opts Options) *mapCtx {
 		mc.deadline = time.Now().Add(opts.Budget.WallClock)
 	}
 	mc.arenas = append(mc.arenas, mc.seqArena)
-	if opts.Memoize {
-		// The shared tier is bypassed under a wall-clock budget: which
-		// trees such a run degrades is timing-dependent, and cache
-		// warmth must never change emitted bytes.
-		if opts.SharedCache != nil && opts.Budget.WallClock == 0 {
-			mc.cache = newTieredShapeCache(opts.SharedCache, f, mc.seed)
-		} else {
-			mc.cache = newRunShapeCache()
-		}
-		mc.infos = make(map[*network.Node]shapeInfo, len(f.Roots))
-	}
 	return mc
 }
 
@@ -106,15 +88,6 @@ func (mc *mapCtx) release() {
 		a.release()
 	}
 	mc.arenas = nil
-}
-
-func (mc *mapCtx) infoFor(root *network.Node) shapeInfo {
-	if si, ok := mc.infos[root]; ok {
-		return si
-	}
-	si := treeShapeInfo(mc.f, root, mc.seed)
-	mc.infos[root] = si
-	return si
 }
 
 // workerArena hands each pool worker its own arena, registered with the
@@ -187,31 +160,23 @@ func (mc *mapCtx) runPool(n int, fn func(a *dpArena, i int) error) error {
 				}
 			}()
 			a := mc.workerArena()
-			work := func() {
-				for {
-					if stop.Load() {
-						return
-					}
-					if err := mc.ctx.Err(); err != nil {
-						fail(err)
-						return
-					}
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					fireFaultHook("worker", i)
-					if err := fn(a, i); err != nil {
-						fail(err)
-						return
-					}
+			for {
+				if stop.Load() {
+					return
 				}
-			}
-			if mc.opts.PprofLabels {
-				pprof.Do(mc.ctx, pprof.Labels("chortle", "dp-worker"),
-					func(context.Context) { work() })
-			} else {
-				work()
+				if err := mc.ctx.Err(); err != nil {
+					fail(err)
+					return
+				}
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				fireFaultHook("worker", i)
+				if err := fn(a, i); err != nil {
+					fail(err)
+					return
+				}
 			}
 		}()
 	}
@@ -219,82 +184,63 @@ func (mc *mapCtx) runPool(n int, fn func(a *dpArena, i int) error) error {
 	return firstErr
 }
 
-// buildDPsParallel computes the tree DPs up front on the worker pool.
-// With memoization, only one DP is solved per distinct shape — workers
-// share the dedup performed (sequentially, it is O(trees) hashing) on
-// the main goroutine; duplicates are rebound lazily during sequential
-// reconstruction. Without memoization every tree gets its own DP, as
-// the sequential non-memoized path would produce. Budget-exhausted
-// solves are recorded (degraded shape entries / nil prebuilt DPs) so
-// sequential reconstruction degrades those trees; cancellation or a
+// solveShapes computes the tree DPs up front on the worker pool, one
+// per distinct shape: the dedup runs on the main goroutine (O(trees)
+// hashing) and builds the run's shape cache, the pool solves each new
+// shape, and sequential reconstruction rebinds the tables to every
+// duplicate tree. Budget-exhausted solves are recorded as degraded
+// entries so reconstruction degrades those trees; cancellation or a
 // worker panic aborts the whole prepass with the error.
-func (mc *mapCtx) buildDPsParallel() error {
+func (mc *mapCtx) solveShapes() error {
 	roots := mc.f.Roots
-	solveOne := func(a *dpArena, root *network.Node) (*nodeDP, int64, bool, error) {
-		gov := mc.newGov()
-		start := mc.tr.now()
-		dp, err := solveDP(a, mc.f, root, mc.opts, gov)
-		if err != nil {
-			if errors.Is(err, cerrs.ErrBudgetExhausted) {
-				return nil, gov.units, true, nil
-			}
-			return nil, gov.units, false, err
-		}
-		mc.tr.treeSolve(root.Name, gov.units, dp.bestCost, start)
-		return dp, gov.units, false, nil
+	// The shared tier is bypassed under a wall-clock budget: which trees
+	// such a run degrades is timing-dependent, and cache warmth must
+	// never change emitted bytes.
+	var shared *SharedShapeCache
+	if mc.opts.Budget.WallClock == 0 {
+		shared = mc.opts.SharedCache
 	}
-	if mc.cache != nil {
-		var reps []*network.Node
-		var sis []shapeInfo
-		entries := make([]*shapeEntry, 0, len(roots))
-		for _, r := range roots {
-			si := mc.infoFor(r)
-			if mc.cache.lookup(mc.f, r, si) != nil {
-				continue
-			}
-			e := &shapeEntry{f: mc.f, rep: r, templates: make(map[string]*emitTemplate)}
+	mc.cache = newTieredShapeCache(shared, mc.f, mc.seed)
+	mc.shapes = make(map[*network.Node]*shapeEntry, len(roots))
+	var reps []*network.Node
+	var sis []shapeInfo
+	var entries []*shapeEntry
+	for _, r := range roots {
+		si := treeShapeInfo(mc.f, r, mc.seed)
+		e := mc.cache.lookup(mc.f, r, si)
+		if e == nil {
+			e = &shapeEntry{f: mc.f, rep: r, templates: make(map[string]*emitTemplate)}
 			mc.cache.insert(si, e)
 			reps = append(reps, r)
 			sis = append(sis, si)
 			entries = append(entries, e)
 		}
-		err := mc.runPool(len(reps), func(a *dpArena, i int) error {
-			dp, units, degraded, err := solveOne(a, reps[i])
-			if err != nil {
-				return err
-			}
-			entries[i].dp, entries[i].units, entries[i].degraded = dp, units, degraded
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		// Publication happens here, after the pool's happens-before
-		// join, so the shared tier only ever sees fully solved entries.
-		for i := range reps {
-			mc.cache.publish(reps[i], sis[i], entries[i])
-		}
-		return nil
+		mc.shapes[r] = e
 	}
-	dps := make([]*nodeDP, len(roots))
-	units := make([]int64, len(roots))
-	err := mc.runPool(len(roots), func(a *dpArena, i int) error {
-		dp, u, _, err := solveOne(a, roots[i])
+	err := mc.runPool(len(reps), func(a *dpArena, i int) error {
+		e := entries[i]
+		gov := mc.newGov()
+		start := mc.tr.now()
+		dp, err := solveDP(a, mc.f, reps[i], mc.opts, gov)
+		e.units = gov.units
 		if err != nil {
+			if errors.Is(err, cerrs.ErrBudgetExhausted) {
+				e.degraded = true
+				return nil
+			}
 			return err
 		}
-		dps[i] = dp // nil when degraded
-		units[i] = u
+		mc.tr.treeSolve(reps[i].Name, gov.units, dp.bestCost, start)
+		e.dp = dp
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	mc.prebuilt = make(map[*network.Node]*nodeDP, len(roots))
-	mc.prebuiltUnits = make(map[*network.Node]int64, len(roots))
-	for i, r := range roots {
-		mc.prebuilt[r] = dps[i]
-		mc.prebuiltUnits[r] = units[i]
+	// Publication happens here, after the pool's happens-before join, so
+	// the shared tier only ever sees fully solved entries.
+	for i := range reps {
+		mc.cache.publish(reps[i], sis[i], entries[i])
 	}
 	return nil
 }

@@ -15,9 +15,9 @@ import (
 // the realization origin, and the tree solve's metered work units.
 // The discipline mirrors the observer layer's: recording is strictly
 // passive (the emitted circuit is byte-identical with provenance on or
-// off, in every Parallel x Memoize x Budget combination), and with the
-// option off every hook is a nil check that allocates nothing — pinned
-// by TestProvenanceHooksOffZeroAlloc.
+// off, at every worker count and Budget), and with the option off
+// every hook is a nil check that allocates nothing — pinned by
+// TestProvenanceHooksOffZeroAlloc.
 
 // provFrame accumulates one LUT's provenance while the reconstruction
 // walk collects its groups. A nil frame disables all recording.

@@ -32,18 +32,17 @@ func checkProvenance(t *testing.T, res *Result) {
 }
 
 // TestProvenanceRandomDAGs maps random reconvergent DAGs with
-// provenance recording on, in every mode the mapper has, and checks
-// the coverage invariant each time: every prepared gate is covered by
-// exactly one LUT, every LUT carries a complete record.
+// provenance recording on, in every mode the mapper has and at every
+// worker count, and checks the coverage invariant each time: every
+// prepared gate is covered by exactly one LUT, every LUT carries a
+// complete record.
 func TestProvenanceRandomDAGs(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	modes := []struct {
 		name string
 		tune func(*Options)
 	}{
-		{"sequential", func(o *Options) { o.Parallel, o.Memoize = false, false }},
-		{"memo", func(o *Options) { o.Parallel, o.Memoize = false, true }},
-		{"parallel", func(o *Options) { o.Parallel, o.Memoize = true, true }},
+		{"exhaustive", func(o *Options) {}},
 		{"binpack", func(o *Options) { o.Strategy = StrategyBinPack }},
 		{"depth", func(o *Options) { o.OptimizeDepth = true }},
 		{"repack", func(o *Options) { o.RepackLUTs = true }},
@@ -51,21 +50,23 @@ func TestProvenanceRandomDAGs(t *testing.T) {
 	}
 	for trial := 0; trial < 6; trial++ {
 		nw := randomDAG(rng, 5+rng.Intn(4), 10+rng.Intn(20))
-		for k := 3; k <= 5; k++ {
-			for _, mode := range modes {
-				opts := DefaultOptions(k)
-				opts.Provenance = true
-				mode.tune(&opts)
-				res, err := Map(nw, opts)
-				if err != nil {
-					t.Fatalf("trial %d K=%d %s: %v", trial, k, mode.name, err)
-				}
-				checkProvenance(t, res)
-				if err := verify.NetworkVsCircuit(nw, res.Circuit, 16, int64(trial)); err != nil {
-					t.Fatalf("trial %d K=%d %s: %v", trial, k, mode.name, err)
+		forEachProcs(t, func(procs int) {
+			for k := 3; k <= 5; k++ {
+				for _, mode := range modes {
+					opts := DefaultOptions(k)
+					opts.Provenance = true
+					mode.tune(&opts)
+					res, err := Map(nw, opts)
+					if err != nil {
+						t.Fatalf("trial %d K=%d %s, %d workers: %v", trial, k, mode.name, procs, err)
+					}
+					checkProvenance(t, res)
+					if err := verify.NetworkVsCircuit(nw, res.Circuit, 16, int64(trial)); err != nil {
+						t.Fatalf("trial %d K=%d %s, %d workers: %v", trial, k, mode.name, procs, err)
+					}
 				}
 			}
-		}
+		})
 	}
 }
 
@@ -97,44 +98,41 @@ func identicalTrees(count int) *network.Network {
 
 // TestProvenanceMemoOrigins drives the memo machinery through all
 // three of its branches — fresh solve, DP rebind, template replay —
-// and checks that origins land accordingly while coverage stays exact.
+// and checks that origins land accordingly while coverage stays exact,
+// with the same records at every worker count.
 func TestProvenanceMemoOrigins(t *testing.T) {
 	nw := identicalTrees(5)
 	opts := DefaultOptions(4)
 	opts.Provenance = true
-	opts.Parallel = false
-	opts.Memoize = true
-	res, err := Map(nw, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkProvenance(t, res)
-	counts := res.Circuit.OriginCounts()
-	if counts["fresh"] == 0 || counts["memo"] == 0 || counts["replay"] == 0 {
-		t.Fatalf("want fresh, memo and replay origins across 5 identical trees, got %v", counts)
-	}
-	// Mode independence: same trees, same shapes, same covers without
-	// memoization — only the origins may differ.
-	opts2 := opts
-	opts2.Memoize = false
-	res2, err := Map(nw, opts2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkProvenance(t, res2)
-	for _, l := range res.Circuit.LUTs {
-		p, q := res.Circuit.ProvenanceOf(l.Name), res2.Circuit.ProvenanceOf(l.Name)
-		if q == nil {
-			t.Fatalf("LUT %s missing from non-memo run", l.Name)
+	var want *Result
+	forEachProcs(t, func(procs int) {
+		res, err := Map(nw, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if p.Shape != q.Shape || p.Tree != q.Tree {
-			t.Fatalf("LUT %s: shape/tree differ across memoize: %q/%q vs %q/%q",
-				l.Name, p.Shape, p.Tree, q.Shape, q.Tree)
+		checkProvenance(t, res)
+		counts := res.Circuit.OriginCounts()
+		if counts["fresh"] == 0 || counts["memo"] == 0 || counts["replay"] == 0 {
+			t.Fatalf("%d workers: want fresh, memo and replay origins across 5 identical trees, got %v", procs, counts)
 		}
-		if !p.Origin.Searched() || !q.Origin.Searched() {
-			t.Fatalf("LUT %s: non-searched origin %v/%v", l.Name, p.Origin, q.Origin)
+		if want == nil {
+			want = res
+			return
 		}
-	}
+		for _, l := range want.Circuit.LUTs {
+			p, q := want.Circuit.ProvenanceOf(l.Name), res.Circuit.ProvenanceOf(l.Name)
+			if q == nil {
+				t.Fatalf("LUT %s missing from the %d-worker run", l.Name, procs)
+			}
+			if p.Shape != q.Shape || p.Tree != q.Tree || p.Origin != q.Origin {
+				t.Fatalf("LUT %s: shape/tree/origin differ across worker counts: %q/%q/%v vs %q/%q/%v",
+					l.Name, p.Shape, p.Tree, p.Origin, q.Shape, q.Tree, q.Origin)
+			}
+			if !p.Origin.Searched() {
+				t.Fatalf("LUT %s: non-searched origin %v", l.Name, p.Origin)
+			}
+		}
+	})
 }
 
 // TestProvenanceDuplication covers the cost-aware duplication path

@@ -208,7 +208,7 @@ func maskMembers(s uint32) []int {
 // exhaustive reference search. Intended for validation on small
 // networks only.
 func ReferenceTreeCosts(input *network.Network, opts Options) (map[string]int, error) {
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	nw := input.Clone()

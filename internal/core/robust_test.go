@@ -55,8 +55,7 @@ func withFaultHook(t *testing.T, h func(site string, i int)) {
 // checks that Map reports it as an error (not a crash), joins every
 // worker, and returns all arenas.
 func TestWorkerPanicRecovered(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4) // force the multi-worker pool path
-	defer runtime.GOMAXPROCS(prev)
+	setProcs(t, 4) // force the multi-worker pool path
 
 	withFaultHook(t, func(site string, i int) {
 		if site == "worker" && i == 1 {
@@ -66,9 +65,7 @@ func TestWorkerPanicRecovered(t *testing.T) {
 
 	baseG := runtime.NumGoroutine()
 	baseA := liveArenas()
-	opts := DefaultOptions(4)
-	opts.Parallel, opts.Memoize = true, false
-	res, err := Map(figure1(), opts)
+	res, err := Map(figure1(), DefaultOptions(4))
 	if err == nil {
 		t.Fatalf("injected worker panic did not surface: res=%+v", res)
 	}
@@ -90,8 +87,7 @@ func TestWorkerPanicRecovered(t *testing.T) {
 // solve and checks that MapCtx returns ctx.Err() with everything
 // cleaned up.
 func TestFaultHookCancellation(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
+	setProcs(t, 4)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -103,9 +99,7 @@ func TestFaultHookCancellation(t *testing.T) {
 
 	baseG := runtime.NumGoroutine()
 	baseA := liveArenas()
-	opts := DefaultOptions(4)
-	opts.Parallel = true
-	res, err := MapCtx(ctx, figure1(), opts)
+	res, err := MapCtx(ctx, figure1(), DefaultOptions(4))
 	if err == nil {
 		t.Fatalf("mid-map cancellation returned a result: %+v", res)
 	}
@@ -116,23 +110,19 @@ func TestFaultHookCancellation(t *testing.T) {
 	checkArenas(t, baseA)
 }
 
-// TestPreCancelledContext: an already-dead context must fail fast, in
-// every Parallel x Memoize mode.
+// TestPreCancelledContext: an already-dead context must fail fast at
+// every worker count.
 func TestPreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	nw := figure1()
-	for _, par := range []bool{false, true} {
-		for _, memo := range []bool{false, true} {
-			opts := DefaultOptions(4)
-			opts.Parallel, opts.Memoize = par, memo
-			baseA := liveArenas()
-			if _, err := MapCtx(ctx, nw, opts); !errors.Is(err, context.Canceled) {
-				t.Fatalf("parallel=%v memoize=%v: got %v, want context.Canceled", par, memo, err)
-			}
-			checkArenas(t, baseA)
+	forEachProcs(t, func(procs int) {
+		baseA := liveArenas()
+		if _, err := MapCtx(ctx, nw, DefaultOptions(4)); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%d workers: got %v, want context.Canceled", procs, err)
 		}
-	}
+		checkArenas(t, baseA)
+	})
 }
 
 // TestBudgetDegradesToBinPack: a tree too big for its work budget must
@@ -141,25 +131,22 @@ func TestPreCancelledContext(t *testing.T) {
 func TestBudgetDegradesToBinPack(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	nw := mkTree(rng, network.OpAnd, 70)
-	for _, par := range []bool{false, true} {
-		for _, memo := range []bool{false, true} {
-			opts := DefaultOptions(5)
-			opts.Parallel, opts.Memoize = par, memo
-			opts.Budget.WorkUnits = 1
-			baseA := liveArenas()
-			res, err := Map(nw, opts)
-			if err != nil {
-				t.Fatalf("parallel=%v memoize=%v: budgeted map failed: %v", par, memo, err)
-			}
-			if len(res.Degraded) == 0 {
-				t.Fatalf("parallel=%v memoize=%v: 1-unit budget did not degrade any tree", par, memo)
-			}
-			if err := verify.NetworkVsCircuit(nw, res.Circuit, 16, 1); err != nil {
-				t.Fatalf("parallel=%v memoize=%v: degraded circuit wrong: %v", par, memo, err)
-			}
-			checkArenas(t, baseA)
+	forEachProcs(t, func(procs int) {
+		opts := DefaultOptions(5)
+		opts.Budget.WorkUnits = 1
+		baseA := liveArenas()
+		res, err := Map(nw, opts)
+		if err != nil {
+			t.Fatalf("%d workers: budgeted map failed: %v", procs, err)
 		}
-	}
+		if len(res.Degraded) == 0 {
+			t.Fatalf("%d workers: 1-unit budget did not degrade any tree", procs)
+		}
+		if err := verify.NetworkVsCircuit(nw, res.Circuit, 16, 1); err != nil {
+			t.Fatalf("%d workers: degraded circuit wrong: %v", procs, err)
+		}
+		checkArenas(t, baseA)
+	})
 }
 
 // TestWallClockBudgetDegrades: an immediately-expired wall-clock budget

@@ -136,10 +136,11 @@ func (s *sharedShape) setHandle(h shapecache.Handle) {
 	s.handle.CompareAndSwap(nil, &h)
 }
 
-// tieredShapeCache is the shapeCache that backs the per-run memo (L1)
-// with a SharedShapeCache (L2). L1 keeps this run's arena-backed entries
-// and its wrappers around L2 hits; L2 sees only frozen, verified,
-// immutable state. All methods run on the Map's main goroutine.
+// tieredShapeCache is one Map run's shape storage: the per-run memo (L1),
+// optionally backed by a SharedShapeCache (L2). L1 keeps this run's
+// arena-backed entries and its wrappers around L2 hits; L2 sees only
+// frozen, verified, immutable state. With a nil shared tier it is the
+// plain per-run memo. All methods run on the Map's main goroutine.
 type tieredShapeCache struct {
 	memo   *shapeMemo
 	shared *SharedShapeCache
@@ -172,8 +173,11 @@ func (c *tieredShapeCache) encFor(root *network.Node) []byte {
 	return enc
 }
 
+// lookup returns this run's entry for root's shape, or nil. An L1 miss
+// may materialize an entry from the shared tier; either way a non-nil
+// entry is registered in the run.
 func (c *tieredShapeCache) lookup(f *forest.Forest, root *network.Node, si shapeInfo) *shapeEntry {
-	if e := c.memo.lookup(f, root, si); e != nil {
+	if e := c.memo.lookup(f, root, si); e != nil || c.shared == nil {
 		return e
 	}
 	enc := c.encFor(root)
@@ -200,10 +204,15 @@ func (c *tieredShapeCache) lookup(f *forest.Forest, root *network.Node, si shape
 	return e
 }
 
+// insert registers a freshly created (possibly not yet solved) entry
+// for root's shape.
 func (c *tieredShapeCache) insert(si shapeInfo, e *shapeEntry) { c.memo.insert(si, e) }
 
+// publish offers a fully solved entry to the shared tier, freezing and
+// storing it unless there is no shared tier or the entry is degraded,
+// unmappable, or already shared.
 func (c *tieredShapeCache) publish(root *network.Node, si shapeInfo, e *shapeEntry) {
-	if e.shared != nil || e.frozen || e.degraded || e.dp == nil || e.dp.bestCost >= infinity {
+	if c.shared == nil || e.shared != nil || e.frozen || e.degraded || e.dp == nil || e.dp.bestCost >= infinity {
 		return
 	}
 	enc := c.encFor(root)
@@ -221,7 +230,10 @@ func (c *tieredShapeCache) publish(root *network.Node, si shapeInfo, e *shapeEnt
 	e.shared = win
 }
 
-func (c *tieredShapeCache) stats() (int, int) { return c.hits, c.misses }
+// stats reports the run's shared-tier hit/miss counts: distinct shapes
+// resolved from, respectively missing in, the shared tier (both zero
+// without one).
+func (c *tieredShapeCache) stats() (hits, misses int) { return c.hits, c.misses }
 
 // sharedShapeOverhead approximates a sharedShape's fixed footprint for
 // the byte accounting.

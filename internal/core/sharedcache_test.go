@@ -20,9 +20,9 @@ func blifOf(t *testing.T, res *Result) string {
 }
 
 // TestSharedCacheByteIdentical maps networks with the shared cache off,
-// cold, and warm, in every Parallel x Memoize mode, and requires the
-// emitted BLIF to be identical every time: cache warmth must be
-// invisible in the output.
+// cold, and warm, at every worker count, and requires the emitted BLIF
+// to be identical every time: cache warmth must be invisible in the
+// output.
 func TestSharedCacheByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	nets := []*network.Network{
@@ -31,15 +31,13 @@ func TestSharedCacheByteIdentical(t *testing.T) {
 		randomDAG(rng, 8, 40),
 	}
 	for k := 2; k <= 5; k++ {
-		for _, par := range []bool{false, true} {
+		forEachProcs(t, func(procs int) {
 			cache := NewSharedShapeCache(SharedCacheConfig{})
 			for ni, nw := range nets {
 				base := DefaultOptions(k)
-				base.Parallel = par
-				base.Memoize = true
 				ref, err := Map(nw, base)
 				if err != nil {
-					t.Fatalf("K=%d par=%v net=%d: %v", k, par, ni, err)
+					t.Fatalf("K=%d procs=%d net=%d: %v", k, procs, ni, err)
 				}
 				want := blifOf(t, ref)
 
@@ -47,28 +45,28 @@ func TestSharedCacheByteIdentical(t *testing.T) {
 				warm.SharedCache = cache
 				cold, err := Map(nw, warm)
 				if err != nil {
-					t.Fatalf("K=%d par=%v net=%d cold: %v", k, par, ni, err)
+					t.Fatalf("K=%d procs=%d net=%d cold: %v", k, procs, ni, err)
 				}
 				if got := blifOf(t, cold); got != want {
-					t.Fatalf("K=%d par=%v net=%d: cold shared-cache BLIF differs", k, par, ni)
+					t.Fatalf("K=%d procs=%d net=%d: cold shared-cache BLIF differs", k, procs, ni)
 				}
 				hot, err := Map(nw, warm)
 				if err != nil {
-					t.Fatalf("K=%d par=%v net=%d warm: %v", k, par, ni, err)
+					t.Fatalf("K=%d procs=%d net=%d warm: %v", k, procs, ni, err)
 				}
 				if got := blifOf(t, hot); got != want {
-					t.Fatalf("K=%d par=%v net=%d: warm shared-cache BLIF differs", k, par, ni)
+					t.Fatalf("K=%d procs=%d net=%d: warm shared-cache BLIF differs", k, procs, ni)
 				}
 				if hot.CacheHits == 0 {
-					t.Fatalf("K=%d par=%v net=%d: warm run reported no cache hits", k, par, ni)
+					t.Fatalf("K=%d procs=%d net=%d: warm run reported no cache hits", k, procs, ni)
 				}
-				if cold.CacheHits != 0 && ni == 0 && k == 2 && !par {
-					// Only the very first run of the suite is guaranteed
+				if cold.CacheHits != 0 && ni == 0 {
+					// Only the first run on a fresh cache is guaranteed
 					// fully cold; later nets may legitimately share shapes.
-					t.Fatalf("first cold run reported %d hits", cold.CacheHits)
+					t.Fatalf("K=%d procs=%d: first cold run reported %d hits", k, procs, cold.CacheHits)
 				}
 			}
-		}
+		})
 	}
 }
 
@@ -83,7 +81,6 @@ func TestSharedCacheSeedNamespaces(t *testing.T) {
 	run := func(tune func(*Options)) *Result {
 		t.Helper()
 		opts := DefaultOptions(3)
-		opts.Parallel = false
 		opts.SharedCache = cache
 		tune(&opts)
 		res, err := Map(nw, opts)
@@ -137,7 +134,6 @@ func TestSharedCacheProvenanceOrigins(t *testing.T) {
 	nw := identicalTrees(5)
 	cache := NewSharedShapeCache(SharedCacheConfig{})
 	opts := DefaultOptions(4)
-	opts.Parallel = false
 	opts.Provenance = true
 	opts.SharedCache = cache
 

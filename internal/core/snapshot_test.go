@@ -29,7 +29,6 @@ func TestSnapshotRoundTripByteIdentical(t *testing.T) {
 		want := make([]string, len(nets))
 		for i, nc := range nets {
 			opts := DefaultOptions(k)
-			opts.Memoize = true
 			opts.SharedCache = cache
 			res, err := Map(nc.nw, opts)
 			if err != nil {
@@ -56,7 +55,6 @@ func TestSnapshotRoundTripByteIdentical(t *testing.T) {
 
 		for i, nc := range nets {
 			opts := DefaultOptions(k)
-			opts.Memoize = true
 			opts.SharedCache = restored
 			res, err := Map(nc.nw, opts)
 			if err != nil {
@@ -82,7 +80,6 @@ func TestSnapshotWrongSeedNeverHits(t *testing.T) {
 	nw := identicalTrees(6)
 	cache := NewSharedShapeCache(SharedCacheConfig{})
 	opts := DefaultOptions(4)
-	opts.Memoize = true
 	opts.SharedCache = cache
 	if _, err := Map(nw, opts); err != nil {
 		t.Fatal(err)
@@ -96,7 +93,6 @@ func TestSnapshotWrongSeedNeverHits(t *testing.T) {
 		t.Fatal(err)
 	}
 	o5 := DefaultOptions(5)
-	o5.Memoize = true
 	o5.SharedCache = restored
 	res, err := Map(nw, o5)
 	if err != nil {
@@ -111,7 +107,6 @@ func TestSnapshotCorruptionDegradesToCold(t *testing.T) {
 	nw := identicalTrees(8)
 	cache := NewSharedShapeCache(SharedCacheConfig{})
 	opts := DefaultOptions(4)
-	opts.Memoize = true
 	opts.SharedCache = cache
 	ref, err := Map(nw, opts)
 	if err != nil {
@@ -146,7 +141,6 @@ func TestSnapshotCorruptionDegradesToCold(t *testing.T) {
 			}
 			// Cold cache still maps correctly.
 			o := DefaultOptions(4)
-			o.Memoize = true
 			o.SharedCache = c
 			res, err := Map(nw, o)
 			if err != nil {
@@ -165,7 +159,6 @@ func TestSnapshotNamespaceMismatchRejected(t *testing.T) {
 	nw := identicalTrees(4)
 	cache := NewSharedShapeCache(SharedCacheConfig{})
 	opts := DefaultOptions(4)
-	opts.Memoize = true
 	opts.SharedCache = cache
 	if _, err := Map(nw, opts); err != nil {
 		t.Fatal(err)
@@ -196,7 +189,6 @@ func TestSharedShapeCodecRoundTrip(t *testing.T) {
 	cache := NewSharedShapeCache(SharedCacheConfig{})
 	for _, nw := range []*network.Network{identicalTrees(6), randomDAG(rng, 7, 30)} {
 		opts := DefaultOptions(4)
-		opts.Memoize = true
 		opts.SharedCache = cache
 		if _, err := Map(nw, opts); err != nil {
 			t.Fatal(err)

@@ -15,8 +15,8 @@ import (
 // the recorded order, so the global name sequence advances exactly as a
 // from-scratch reconstruction would), and add the recorded truth tables
 // verbatim. Replay skips the DP choice walk and the per-LUT truth-table
-// evaluation, and is what keeps memoized output byte-identical to the
-// sequential mapper's.
+// evaluation, yet emits the same bytes as reconstructing the tree from
+// its DP would.
 
 // lutSpec is one recorded LUT.
 type lutSpec struct {

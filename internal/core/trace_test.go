@@ -169,66 +169,62 @@ func countKinds(events []obs.Event) map[obs.Kind]int {
 	return m
 }
 
-// TestObservedMapEventStream checks the stream's accounting in all four
-// Parallel x Memoize modes: one map bracket, the standard phases, one
-// solve or memo hit per tree, one LUT event per emitted table, and
-// arena stats — while the mapped result stays identical to the
-// unobserved run.
+// TestObservedMapEventStream checks the stream's accounting at every
+// worker count: one map bracket, the standard phases, one solve or memo
+// hit per tree, one LUT event per emitted table, and arena stats —
+// while the mapped result stays identical to the unobserved run.
 func TestObservedMapEventStream(t *testing.T) {
 	nw := mkRepeatedTrees(12)
 	ref, err := Map(nw, DefaultOptions(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, par := range []bool{false, true} {
-		for _, memo := range []bool{false, true} {
-			var c obs.Collector
-			opts := DefaultOptions(4)
-			opts.Parallel, opts.Memoize = par, memo
-			opts.Observer = &c
-			res, err := Map(nw, opts)
-			if err != nil {
-				t.Fatalf("parallel=%v memoize=%v: %v", par, memo, err)
-			}
-			if res.LUTs != ref.LUTs || res.Trees != ref.Trees {
-				t.Fatalf("parallel=%v memoize=%v: observed map diverged: %d/%d LUTs, %d/%d trees",
-					par, memo, res.LUTs, ref.LUTs, res.Trees, ref.Trees)
-			}
-			events := c.Events()
-			kinds := countKinds(events)
-			if kinds[obs.KindMapStart] != 1 || kinds[obs.KindMapEnd] != 1 {
-				t.Errorf("parallel=%v memoize=%v: map bracket %d/%d, want 1/1",
-					par, memo, kinds[obs.KindMapStart], kinds[obs.KindMapEnd])
-			}
-			if got := kinds[obs.KindTreeSolve] + kinds[obs.KindMemoHit]; got != res.Trees {
-				t.Errorf("parallel=%v memoize=%v: %d solves + %d hits != %d trees",
-					par, memo, kinds[obs.KindTreeSolve], kinds[obs.KindMemoHit], res.Trees)
-			}
-			if kinds[obs.KindLUT] != res.LUTs {
-				t.Errorf("parallel=%v memoize=%v: %d LUT events, want %d", par, memo, kinds[obs.KindLUT], res.LUTs)
-			}
-			if kinds[obs.KindArenaStats] != 1 {
-				t.Errorf("parallel=%v memoize=%v: %d arena-stats events, want 1", par, memo, kinds[obs.KindArenaStats])
-			}
-			r := c.Report()
-			if r.LUTs != res.LUTs || r.Trees != res.Trees || r.K != 4 {
-				t.Errorf("parallel=%v memoize=%v: report totals %d LUTs %d trees K=%d", par, memo, r.LUTs, r.Trees, r.K)
-			}
-			var names []string
-			for _, p := range r.Phases {
-				names = append(names, p.Name)
-			}
-			joined := strings.Join(names, " ")
-			for _, want := range []string{"prepare", "forest", "reconstruct", "finalize"} {
-				if !strings.Contains(joined, want) {
-					t.Errorf("parallel=%v memoize=%v: phases %q missing %q", par, memo, joined, want)
-				}
-			}
-			if memo && r.MemoHits == 0 {
-				t.Errorf("memoize=%v parallel=%v: no memo hits recorded on a netlist with repeated shapes", memo, par)
+	forEachProcs(t, func(procs int) {
+		var c obs.Collector
+		opts := DefaultOptions(4)
+		opts.Observer = &c
+		res, err := Map(nw, opts)
+		if err != nil {
+			t.Fatalf("%d workers: %v", procs, err)
+		}
+		if res.LUTs != ref.LUTs || res.Trees != ref.Trees {
+			t.Fatalf("%d workers: observed map diverged: %d/%d LUTs, %d/%d trees",
+				procs, res.LUTs, ref.LUTs, res.Trees, ref.Trees)
+		}
+		events := c.Events()
+		kinds := countKinds(events)
+		if kinds[obs.KindMapStart] != 1 || kinds[obs.KindMapEnd] != 1 {
+			t.Errorf("%d workers: map bracket %d/%d, want 1/1",
+				procs, kinds[obs.KindMapStart], kinds[obs.KindMapEnd])
+		}
+		if got := kinds[obs.KindTreeSolve] + kinds[obs.KindMemoHit]; got != res.Trees {
+			t.Errorf("%d workers: %d solves + %d hits != %d trees",
+				procs, kinds[obs.KindTreeSolve], kinds[obs.KindMemoHit], res.Trees)
+		}
+		if kinds[obs.KindLUT] != res.LUTs {
+			t.Errorf("%d workers: %d LUT events, want %d", procs, kinds[obs.KindLUT], res.LUTs)
+		}
+		if kinds[obs.KindArenaStats] != 1 {
+			t.Errorf("%d workers: %d arena-stats events, want 1", procs, kinds[obs.KindArenaStats])
+		}
+		r := c.Report()
+		if r.LUTs != res.LUTs || r.Trees != res.Trees || r.K != 4 {
+			t.Errorf("%d workers: report totals %d LUTs %d trees K=%d", procs, r.LUTs, r.Trees, r.K)
+		}
+		var names []string
+		for _, p := range r.Phases {
+			names = append(names, p.Name)
+		}
+		joined := strings.Join(names, " ")
+		for _, want := range []string{"prepare", "forest", "solve", "reconstruct", "finalize"} {
+			if !strings.Contains(joined, want) {
+				t.Errorf("%d workers: phases %q missing %q", procs, joined, want)
 			}
 		}
-	}
+		if r.MemoHits == 0 {
+			t.Errorf("%d workers: no memo hits recorded on a netlist with repeated shapes", procs)
+		}
+	})
 }
 
 // TestObservedBudgetDegradation checks that a budget small enough to
@@ -236,11 +232,9 @@ func TestObservedMapEventStream(t *testing.T) {
 // that the report lists exactly Result.Degraded.
 func TestObservedBudgetDegradation(t *testing.T) {
 	nw := mkTree(rand.New(rand.NewSource(3)), network.OpOr, 40)
-	for _, memo := range []bool{false, true} {
+	forEachProcs(t, func(procs int) {
 		var c obs.Collector
 		opts := DefaultOptions(5)
-		opts.Parallel = false
-		opts.Memoize = memo
 		opts.Budget.WorkUnits = 200
 		opts.Observer = &c
 		res, err := Map(nw, opts)
@@ -248,16 +242,16 @@ func TestObservedBudgetDegradation(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(res.Degraded) == 0 {
-			t.Fatalf("memoize=%v: budget of 200 units did not degrade the 40-leaf tree", memo)
+			t.Fatalf("%d workers: budget of 200 units did not degrade the 40-leaf tree", procs)
 		}
 		r := c.Report()
 		if r.BudgetTrips == 0 {
-			t.Errorf("memoize=%v: no budget-exhausted events", memo)
+			t.Errorf("%d workers: no budget-exhausted events", procs)
 		}
 		if len(r.Degraded) != len(res.Degraded) {
-			t.Errorf("memoize=%v: report lists %v degraded, result %v", memo, r.Degraded, res.Degraded)
+			t.Errorf("%d workers: report lists %v degraded, result %v", procs, r.Degraded, res.Degraded)
 		}
-	}
+	})
 }
 
 // TestObservedDupAware checks the duplication search's events: a

@@ -20,13 +20,13 @@ import (
 // that mentions them (ValidateDOT enforces declared-before-used), every
 // iteration order is a stored slice order (never a map walk), and the
 // bytes depend only on the input structures — so the exporters are
-// golden-testable and identical across Parallel x Memoize runs.
+// golden-testable and identical at every worker count.
 
 // Origin-class fill colors for CircuitDOT. The exporter colors by
-// Origin.Searched() — the mode-independent classification — rather than
-// by raw origin, so memoized and non-memoized runs of the same mapping
-// produce byte-identical DOT (the full origin breakdown belongs to the
-// HTML report, which is per-run by nature).
+// Origin.Searched() — the classification shared by fresh solves and
+// reuse — rather than by raw origin, so a cold run and one through a
+// warm shared cache produce byte-identical DOT (the full origin
+// breakdown belongs to the HTML report, which is per-run by nature).
 const (
 	colorSearched = "#cfe2f3" // exhaustive search (fresh, memo, replay)
 	colorBinPack  = "#fff2cc" // bin-packing strategy

@@ -2,6 +2,7 @@ package explain
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -117,28 +118,28 @@ func TestCircuitDOTWithoutProvenance(t *testing.T) {
 	}
 }
 
-// TestCircuitDOTDeterministic pins byte-identity across the
-// Parallel x Memoize grid — the property the golden DOT files rely on.
+// TestCircuitDOTDeterministic pins byte-identity across worker counts
+// (GOMAXPROCS 1 and 4) — the property the golden DOT files rely on.
 func TestCircuitDOTDeterministic(t *testing.T) {
 	nw := testNetwork(t)
 	var first []byte
-	for _, parallel := range []bool{false, true} {
-		for _, memoize := range []bool{false, true} {
-			opts := core.DefaultOptions(3)
-			opts.Parallel, opts.Memoize, opts.Provenance = parallel, memoize, true
-			res, err := core.Map(nw, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			if err := CircuitDOT(&buf, res.Circuit); err != nil {
-				t.Fatal(err)
-			}
-			if first == nil {
-				first = buf.Bytes()
-			} else if !bytes.Equal(first, buf.Bytes()) {
-				t.Fatalf("circuit DOT differs at parallel=%v memoize=%v", parallel, memoize)
-			}
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+		opts := core.DefaultOptions(3)
+		opts.Provenance = true
+		res, err := core.Map(nw, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := CircuitDOT(&buf, res.Circuit); err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = buf.Bytes()
+		} else if !bytes.Equal(first, buf.Bytes()) {
+			t.Fatalf("circuit DOT differs at %d workers", procs)
 		}
 	}
 }

@@ -10,11 +10,10 @@
 //
 // The contract every instrumentation site honors: observability never
 // perturbs the mapping. Sinks only receive data; the emitted circuit is
-// byte-identical with or without an observer attached, in every
-// Parallel x Memoize x Budget mode. Sinks must be safe for concurrent
-// use — the parallel pipeline emits from worker goroutines — and should
-// return quickly; a slow sink slows the mapper but cannot change its
-// output.
+// byte-identical with or without an observer attached, at every worker
+// count and Budget. Sinks must be safe for concurrent use — the solve
+// pool emits from worker goroutines — and should return quickly; a slow
+// sink slows the mapper but cannot change its output.
 package obs
 
 import (

@@ -61,8 +61,8 @@ func TestProvenanceInvariants(t *testing.T) {
 }
 
 // TestProvenanceModes covers the emission paths the default grid does
-// not reach: the sequential/memoized combinations, repacking (which
-// folds records), the bin-packing strategy, the depth objective, budget
+// not reach: the single- and multi-worker pools, repacking (which folds
+// records), the bin-packing strategy, the depth objective, budget
 // degradation, and duplication.
 func TestProvenanceModes(t *testing.T) {
 	c, err := bench.ByName("rd73")
@@ -79,20 +79,23 @@ func TestProvenanceModes(t *testing.T) {
 		return o
 	}
 	cases := []struct {
-		name string
-		opts Options
+		name  string
+		procs int // GOMAXPROCS for the case; 0 leaves it alone
+		opts  Options
 	}{
-		{"sequential", func() Options { o := base(); o.Parallel = false; o.Memoize = false; return o }()},
-		{"memo-only", func() Options { o := base(); o.Parallel = false; return o }()},
-		{"parallel-only", func() Options { o := base(); o.Memoize = false; return o }()},
-		{"repack", func() Options { o := base(); o.RepackLUTs = true; return o }()},
-		{"binpack", func() Options { o := base(); o.Strategy = StrategyBinPack; return o }()},
-		{"depth", func() Options { o := base(); o.OptimizeDepth = true; return o }()},
-		{"degraded", func() Options { o := base(); o.Budget = Budget{WorkUnits: 1}; return o }()},
+		{"sequential", 1, base()},
+		{"parallel", 4, base()},
+		{"repack", 0, func() Options { o := base(); o.RepackLUTs = true; return o }()},
+		{"binpack", 0, func() Options { o := base(); o.Strategy = StrategyBinPack; return o }()},
+		{"depth", 0, func() Options { o := base(); o.OptimizeDepth = true; return o }()},
+		{"degraded", 0, func() Options { o := base(); o.Budget = Budget{WorkUnits: 1}; return o }()},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.procs != 0 {
+				setProcs(t, tc.procs)
+			}
 			res, err := Map(nw, tc.opts)
 			if err != nil {
 				t.Fatal(err)
@@ -113,7 +116,7 @@ func TestProvenanceModes(t *testing.T) {
 }
 
 // TestProvenancePassive pins the core guarantee: turning provenance on
-// changes nothing about the emitted circuit, in any mode combination.
+// changes nothing about the emitted circuit, at any worker count.
 func TestProvenancePassive(t *testing.T) {
 	c, err := bench.ByName("9symml")
 	if err != nil {
@@ -123,37 +126,35 @@ func TestProvenancePassive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, parallel := range []bool{false, true} {
-		for _, memoize := range []bool{false, true} {
-			opts := DefaultOptions(4)
-			opts.Parallel, opts.Memoize = parallel, memoize
-			plain, err := Map(nw, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opts.Provenance = true
-			prov, err := Map(nw, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var a, b bytes.Buffer
-			if err := plain.Circuit.WriteBLIF(&a); err != nil {
-				t.Fatal(err)
-			}
-			if err := prov.Circuit.WriteBLIF(&b); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(a.Bytes(), b.Bytes()) {
-				t.Errorf("parallel=%v memoize=%v: circuit differs with provenance on", parallel, memoize)
-			}
+	forEachProcs(t, func(procs int) {
+		opts := DefaultOptions(4)
+		plain, err := Map(nw, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		opts.Provenance = true
+		prov, err := Map(nw, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var a, b bytes.Buffer
+		if err := plain.Circuit.WriteBLIF(&a); err != nil {
+			t.Fatal(err)
+		}
+		if err := prov.Circuit.WriteBLIF(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Errorf("%d workers: circuit differs with provenance on", procs)
+		}
+	})
 }
 
 // TestProvenanceOriginsMemo checks that the memoized run actually
 // exercises the reuse origins (otherwise the origin taxonomy is dead
-// code) and that DOT-relevant fields (tree, covers, shape) are
-// mode-independent even when origins differ.
+// code) and that DOT-relevant fields (tree, covers, shape) stay the
+// same when origins differ: a run through a warm shared cache solves
+// nothing itself, yet must record the same structure.
 func TestProvenanceOriginsMemo(t *testing.T) {
 	c, err := bench.ByName("des")
 	if err != nil {
@@ -174,18 +175,24 @@ func TestProvenanceOriginsMemo(t *testing.T) {
 		t.Errorf("memoized des mapping recorded no memo/replay origins: %v", counts)
 	}
 
-	opts.Memoize = false
-	plain, err := Map(nw, opts)
+	opts.SharedCache = NewSharedCache(SharedCacheConfig{})
+	if _, err := Map(nw, opts); err != nil {
+		t.Fatal(err)
+	}
+	warm, err := Map(nw, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, l := range plain.Circuit.LUTs {
-		p, q := plain.Circuit.ProvenanceOf(l.Name), memo.Circuit.ProvenanceOf(l.Name)
+	if n := warm.Circuit.OriginCounts()[lut.OriginFresh.String()]; n != 0 {
+		t.Fatalf("warm run recorded %d fresh LUTs; the comparison is vacuous", n)
+	}
+	for _, l := range memo.Circuit.LUTs {
+		p, q := memo.Circuit.ProvenanceOf(l.Name), warm.Circuit.ProvenanceOf(l.Name)
 		if q == nil {
-			t.Fatalf("lut %q missing from memoized provenance", l.Name)
+			t.Fatalf("lut %q missing from warm provenance", l.Name)
 		}
 		if p.Tree != q.Tree || p.Shape != q.Shape || fmt.Sprint(p.Covers) != fmt.Sprint(q.Covers) {
-			t.Fatalf("lut %q: structural provenance differs across memoize:\n  plain %+v\n  memo  %+v", l.Name, p, q)
+			t.Fatalf("lut %q: structural provenance differs through a warm cache:\n  memo %+v\n  warm %+v", l.Name, p, q)
 		}
 		if !p.Origin.Searched() || !q.Origin.Searched() {
 			t.Fatalf("lut %q: exhaustive mapping recorded non-searched origin", l.Name)

@@ -93,8 +93,7 @@ func TestBudgetedMapDegradesAndVerifies(t *testing.T) {
 // surface from the public API as *InternalError with a stack, not as a
 // process crash.
 func TestInternalErrorFromWorkerPanic(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
+	setProcs(t, 4)
 	core.FaultHook = func(site string, i int) {
 		if site == "worker" {
 			panic("injected fault")
@@ -106,9 +105,7 @@ func TestInternalErrorFromWorkerPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := DefaultOptions(4)
-	opts.Parallel, opts.Memoize = true, false
-	_, err = Map(nw, opts)
+	_, err = Map(nw, DefaultOptions(4))
 	var ie *InternalError
 	if !errors.As(err, &ie) {
 		t.Fatalf("worker panic surfaced as %T (%v), want *InternalError", err, err)

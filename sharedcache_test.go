@@ -11,8 +11,8 @@ import (
 
 // The cross-run shape cache's contract, pinned against the full golden
 // suite: cache warmth is invisible in the emitted bytes (cold run, warm
-// run and no-cache run all produce identical BLIF, in every
-// Parallel x Memoize mode at every K), warm runs actually hit, and any
+// run and no-cache run all produce identical BLIF, at every worker
+// count and every K), warm runs actually hit, and any
 // number of concurrent Map calls may share one cache under the race
 // detector.
 
@@ -30,7 +30,7 @@ func mapWithBLIF(t *testing.T, nw *Network, opts Options) (string, *Result) {
 }
 
 // TestSharedCacheGoldenSuiteByteIdentical is the acceptance grid: all
-// golden benchmarks x K=2..5 x Parallel x Memoize, shared cache off,
+// golden benchmarks x K=2..5 x GOMAXPROCS 1 and 4, shared cache off,
 // cold, and warm.
 func TestSharedCacheGoldenSuiteByteIdentical(t *testing.T) {
 	for _, c := range goldenCircuits() {
@@ -40,37 +40,30 @@ func TestSharedCacheGoldenSuiteByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("preparing %s: %v", c.Name, err)
 			}
-			for k := 2; k <= 5; k++ {
-				for _, par := range []bool{false, true} {
-					for _, memo := range []bool{false, true} {
-						opts := DefaultOptions(k)
-						opts.Parallel, opts.Memoize = par, memo
-						ref := mapToBLIF(t, nw, opts)
+			forEachProcs(t, func(procs int) {
+				for k := 2; k <= 5; k++ {
+					opts := DefaultOptions(k)
+					ref := mapToBLIF(t, nw, opts)
 
-						cache := NewSharedCache(SharedCacheConfig{})
-						opts.SharedCache = cache
-						cold, coldRes := mapWithBLIF(t, nw, opts)
-						if cold != ref {
-							t.Fatalf("K=%d par=%v memo=%v: cold shared-cache BLIF differs", k, par, memo)
-						}
-						warm, warmRes := mapWithBLIF(t, nw, opts)
-						if warm != ref {
-							t.Fatalf("K=%d par=%v memo=%v: warm shared-cache BLIF differs", k, par, memo)
-						}
-						if memo {
-							if coldRes.CacheMisses == 0 {
-								t.Fatalf("K=%d par=%v: cold run reported no misses", k, par)
-							}
-							if warmRes.CacheHits == 0 || warmRes.CacheMisses != 0 {
-								t.Fatalf("K=%d par=%v: warm run hits=%d misses=%d",
-									k, par, warmRes.CacheHits, warmRes.CacheMisses)
-							}
-						} else if coldRes.CacheHits+coldRes.CacheMisses+warmRes.CacheHits+warmRes.CacheMisses != 0 {
-							t.Fatalf("K=%d par=%v: shared cache active without Memoize", k, par)
-						}
+					cache := NewSharedCache(SharedCacheConfig{})
+					opts.SharedCache = cache
+					cold, coldRes := mapWithBLIF(t, nw, opts)
+					if cold != ref {
+						t.Fatalf("K=%d procs=%d: cold shared-cache BLIF differs", k, procs)
+					}
+					warm, warmRes := mapWithBLIF(t, nw, opts)
+					if warm != ref {
+						t.Fatalf("K=%d procs=%d: warm shared-cache BLIF differs", k, procs)
+					}
+					if coldRes.CacheMisses == 0 {
+						t.Fatalf("K=%d procs=%d: cold run reported no misses", k, procs)
+					}
+					if warmRes.CacheHits == 0 || warmRes.CacheMisses != 0 {
+						t.Fatalf("K=%d procs=%d: warm run hits=%d misses=%d",
+							k, procs, warmRes.CacheHits, warmRes.CacheMisses)
 					}
 				}
-			}
+			})
 		})
 	}
 }
