@@ -9,6 +9,8 @@ package chortle
 //	    percentage improvement (paper: ~0%, 6%, 9%, 14% for K = 2..5).
 //	BenchmarkMapperSpeed_* — the Section 4.2 speed claim (Chortle 1x-10x
 //	    faster than MIS), timed on the largest circuit (des).
+//	BenchmarkReadBLIF, BenchmarkWriteLUTBLIF — the byte layers every map
+//	    crosses: parsing the twelve circuits, writing their K=4 mappings.
 //	BenchmarkFigure2Mapping — the Figure 1/2 worked example at K=3.
 //	BenchmarkFigure7Decomposition — the Figure 7 wide-node search.
 //	BenchmarkNodeSplitting_* — Section 3.1.4: exhaustive search vs the
@@ -21,6 +23,8 @@ package chortle
 // the reported custom metrics (LUT counts and percentages).
 
 import (
+	"io"
+	"strings"
 	"sync"
 	"testing"
 
@@ -139,6 +143,71 @@ func BenchmarkMapperSpeed_MIS_des(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := mismap.Map(nw, lib); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// suiteBLIF renders the twelve optimized paper circuits as BLIF text,
+// in table order: the bytes a user hands the reader.
+func suiteBLIF(b *testing.B) []string {
+	b.Helper()
+	nets := optimizedSuite(b)
+	var out []string
+	for _, name := range SuiteNames() {
+		var sb strings.Builder
+		if err := WriteBLIF(&sb, nets[name]); err != nil {
+			b.Fatal(err)
+		}
+		out = append(out, sb.String())
+	}
+	return out
+}
+
+// BLIF bytes in: one op parses all twelve paper circuits.
+func BenchmarkReadBLIF(b *testing.B) {
+	texts := suiteBLIF(b)
+	n := 0
+	for _, s := range texts {
+		n += len(s)
+	}
+	b.SetBytes(int64(n))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range texts {
+			if _, err := ReadBLIF(strings.NewReader(s)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// LUT bytes out: one op writes the K=4 mappings of all twelve paper
+// circuits.
+func BenchmarkWriteLUTBLIF(b *testing.B) {
+	nets := optimizedSuite(b)
+	var circuits []*Circuit
+	n := 0
+	for _, name := range SuiteNames() {
+		res, err := Map(nets[name], DefaultOptions(4))
+		if err != nil {
+			b.Fatal(err)
+		}
+		circuits = append(circuits, res.Circuit)
+		var sb strings.Builder
+		if err := res.Circuit.WriteBLIF(&sb); err != nil {
+			b.Fatal(err)
+		}
+		n += sb.Len()
+	}
+	b.SetBytes(int64(n))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, c := range circuits {
+			if err := c.WriteBLIF(io.Discard); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -126,5 +127,29 @@ func TestEngineByteIdentity(t *testing.T) {
 				t.Errorf("pin file has %d entries, the suite produces %d", len(want.SHA256), len(got))
 			}
 		})
+	}
+}
+
+// TestWriteBLIFAllocsFlat pins the LUT serializer's allocations to a
+// constant per write: names and minterm rows go straight from the
+// circuit to the writer, so count (tens of LUTs at K=4) and des (over a
+// thousand) get the same bound.
+func TestWriteBLIFAllocsFlat(t *testing.T) {
+	const bound = 16
+	nets := differentialSuite(t)
+	for _, name := range []string{"count", "des"} {
+		res, err := Map(nets[name], DefaultOptions(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := res.Circuit.WriteBLIF(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %d LUTs, %.0f allocs per WriteBLIF", name, res.LUTs, allocs)
+		if allocs > bound {
+			t.Errorf("%s: WriteBLIF makes %.0f allocations, want at most %d", name, allocs, bound)
+		}
 	}
 }

@@ -23,6 +23,8 @@ type LUT struct {
 	Name   string
 	Inputs []string
 	Table  truth.Table
+
+	id int // position in Circuit.LUTs, kept by AddLUT and removeLUT
 }
 
 // Output designates a circuit output signal, optionally inverted.
@@ -82,7 +84,7 @@ func (c *Circuit) AddLUT(name string, inputs []string, table truth.Table) *LUT {
 	if _, dup := c.byName[name]; dup {
 		panic(fmt.Sprintf("lut: duplicate LUT name %q", name))
 	}
-	l := &LUT{Name: name, Inputs: append([]string(nil), inputs...), Table: table}
+	l := &LUT{Name: name, Inputs: append([]string(nil), inputs...), Table: table, id: len(c.LUTs)}
 	c.LUTs = append(c.LUTs, l)
 	c.byName[name] = l
 	return l
@@ -163,38 +165,87 @@ func (c *Circuit) Validate() error {
 	return nil
 }
 
-// topoOrder returns LUTs with fanins first, or an error on a cycle.
-func (c *Circuit) topoOrder() ([]*LUT, error) {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	state := make(map[string]uint8, len(c.LUTs))
-	var order []*LUT
-	var visit func(l *LUT) error
-	visit = func(l *LUT) error {
-		switch state[l.Name] {
-		case gray:
-			return fmt.Errorf("lut circuit %q: cycle through %q", c.Name, l.Name)
-		case black:
-			return nil
-		}
-		state[l.Name] = gray
-		for _, in := range l.Inputs {
-			if dep := c.byName[in]; dep != nil {
-				if err := visit(dep); err != nil {
-					return err
-				}
-			}
-		}
-		state[l.Name] = black
-		order = append(order, l)
-		return nil
+// Visit states of topoOrder.
+const (
+	white uint8 = iota
+	gray
+	black
+)
+
+// visits holds topoOrder's state per LUT, indexed by position in
+// c.LUTs. A LUT away from its recorded position, which only a
+// hand-edited circuit can reach, keeps its state in a map by name.
+type visits struct {
+	c       *Circuit
+	state   []uint8
+	outside map[string]uint8
+}
+
+// slot returns l's position in c.LUTs, or -1 if l is not there.
+func (v *visits) slot(l *LUT) int {
+	if uint(l.id) < uint(len(v.c.LUTs)) && v.c.LUTs[l.id] == l {
+		return l.id
 	}
-	for _, l := range c.LUTs {
-		if err := visit(l); err != nil {
-			return nil, err
+	return -1
+}
+
+func (v *visits) get(l *LUT) uint8 {
+	if i := v.slot(l); i >= 0 {
+		return v.state[i]
+	}
+	return v.outside[l.Name]
+}
+
+func (v *visits) set(l *LUT, s uint8) {
+	if i := v.slot(l); i >= 0 {
+		v.state[i] = s
+		return
+	}
+	if v.outside == nil {
+		v.outside = make(map[string]uint8)
+	}
+	v.outside[l.Name] = s
+}
+
+// topoOrder returns LUTs with fanins first, or an error on a cycle. It
+// walks depth first from each LUT in c.LUTs order, visiting inputs in
+// order, on an explicit stack so that no depth of logic can overflow
+// the goroutine stack.
+func (c *Circuit) topoOrder() ([]*LUT, error) {
+	v := visits{c: c, state: make([]uint8, len(c.LUTs))}
+	type frame struct {
+		l    *LUT
+		next int // the input to visit next
+	}
+	var buf [64]frame
+	stack := buf[:0]
+	order := make([]*LUT, 0, len(c.LUTs))
+	for _, root := range c.LUTs {
+		if v.get(root) != white {
+			continue
+		}
+		v.set(root, gray)
+		stack = append(stack, frame{l: root})
+		for len(stack) > 0 {
+			top := &stack[len(stack)-1]
+			if top.next == len(top.l.Inputs) {
+				v.set(top.l, black)
+				order = append(order, top.l)
+				stack = stack[:len(stack)-1]
+				continue
+			}
+			dep := c.byName[top.l.Inputs[top.next]]
+			top.next++
+			if dep == nil {
+				continue
+			}
+			switch v.get(dep) {
+			case gray:
+				return nil, fmt.Errorf("lut circuit %q: cycle through %q", c.Name, dep.Name)
+			case white:
+				v.set(dep, gray)
+				stack = append(stack, frame{l: dep})
+			}
 		}
 	}
 	return order, nil
@@ -303,36 +354,125 @@ func (c *Circuit) Levels() (map[string]int, error) {
 // inverter table.
 func (c *Circuit) WriteBLIF(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	latchQ := make(map[string]bool, len(c.Latches))
-	for _, l := range c.Latches {
-		latchQ[l.Q] = true
+	var latchQ map[string]bool
+	if len(c.Latches) > 0 {
+		latchQ = make(map[string]bool, len(c.Latches))
+		for _, l := range c.Latches {
+			latchQ[l.Q] = true
+		}
 	}
-	fmt.Fprintf(bw, ".model %s\n.inputs", c.Name)
+	bw.WriteString(".model ")
+	bw.WriteString(c.Name)
+	bw.WriteString("\n.inputs")
 	for _, in := range c.Inputs {
 		if latchQ[in] {
 			continue // driven by a .latch line, not a primary input
 		}
-		fmt.Fprintf(bw, " %s", in)
+		writeField(bw, in)
 	}
-	fmt.Fprint(bw, "\n.outputs")
+	bw.WriteString("\n.outputs")
 	outs := append([]Output(nil), c.Outputs...)
 	sort.Slice(outs, func(i, j int) bool { return outs[i].Name < outs[j].Name })
 	for _, o := range outs {
-		fmt.Fprintf(bw, " %s", o.Name)
+		writeField(bw, o.Name)
 	}
-	fmt.Fprintln(bw)
+	bw.WriteByte('\n')
 	order, err := c.topoOrder()
 	if err != nil {
 		return err
 	}
-	reserved := make(map[string]bool)
+	emit, reserved := c.blifNames(order, outs)
+	// A minterm row is the input values, variable 0 first, then " 1".
+	var row [truth.MaxVars + 3]byte
+	for _, l := range order {
+		bw.WriteString(".names")
+		for _, in := range l.Inputs {
+			writeField(bw, emit(in))
+		}
+		writeField(bw, emit(l.Name))
+		bw.WriteByte('\n')
+		if ok, v := l.Table.IsConst(); ok {
+			// Constant LUT: an empty cover is constant 0; constant 1 is
+			// a single all-dashes row over the declared inputs.
+			if v {
+				for range l.Inputs {
+					bw.WriteByte('-')
+				}
+				if len(l.Inputs) > 0 {
+					bw.WriteByte(' ')
+				}
+				bw.WriteString("1\n")
+			}
+			continue
+		}
+		n := l.Table.N
+		copy(row[n:], " 1\n")
+		for m := uint(0); m < 1<<uint(n); m++ {
+			if !l.Table.Eval(m) {
+				continue
+			}
+			for i := 0; i < n; i++ {
+				row[i] = '0' + byte(m>>uint(i)&1)
+			}
+			bw.Write(row[:n+3])
+		}
+	}
+	for _, o := range outs {
+		if emit(o.Signal) == o.Name && !o.Invert {
+			continue
+		}
+		writeBuffer(bw, emit(o.Signal), o.Name, o.Invert)
+	}
+	for _, l := range c.Latches {
+		dname := emit(l.D)
+		if l.DInv {
+			inv := l.Q + "$D"
+			for reserved[inv] {
+				inv += "$"
+			}
+			reserved[inv] = true
+			writeBuffer(bw, dname, inv, true)
+			dname = inv
+		}
+		bw.WriteString(".latch ")
+		bw.WriteString(dname)
+		bw.WriteByte(' ')
+		bw.WriteString(l.Q)
+		bw.WriteByte(' ')
+		bw.WriteRune(rune(l.Init))
+		bw.WriteByte('\n')
+	}
+	bw.WriteString(".end\n")
+	return bw.Flush()
+}
+
+// blifNames returns the name WriteBLIF gives each signal, and the set of
+// names taken, which names latch inverters. A LUT keeps its name unless
+// an input, an output or an earlier LUT in order took it; it then gains
+// "$int" suffixes. An undefined signal is written as an empty name.
+func (c *Circuit) blifNames(order []*LUT, outs []Output) (func(string) string, map[string]bool) {
+	if c.plainNames(outs) {
+		// No LUT is renamed and no latch inverter named, so the sets
+		// below are not needed; only input names need a lookup table.
+		inputs := make(map[string]bool, len(c.Inputs))
+		for _, in := range c.Inputs {
+			inputs[in] = true
+		}
+		return func(s string) string {
+			if inputs[s] || c.byName[s] != nil {
+				return s
+			}
+			return ""
+		}, nil
+	}
+	reserved := make(map[string]bool, len(c.Inputs)+len(outs)+len(order))
 	for _, in := range c.Inputs {
 		reserved[in] = true
 	}
 	for _, o := range outs {
 		reserved[o.Name] = true
 	}
-	emit := make(map[string]string, len(order))
+	emit := make(map[string]string, len(c.Inputs)+len(order))
 	for _, in := range c.Inputs {
 		emit[in] = in
 	}
@@ -344,54 +484,57 @@ func (c *Circuit) WriteBLIF(w io.Writer) error {
 		reserved[name] = true
 		emit[l.Name] = name
 	}
-	for _, l := range order {
-		fmt.Fprint(bw, ".names")
-		for _, in := range l.Inputs {
-			fmt.Fprintf(bw, " %s", emit[in])
+	return func(s string) string { return emit[s] }, reserved
+}
+
+// plainNames reports whether WriteBLIF can write every signal under its
+// own name: the LUT list and the name index agree (so LUT names are
+// distinct and every LUT is in the topological order), no LUT is named
+// like a circuit input or output, and no latch needs an inverter.
+func (c *Circuit) plainNames(outs []Output) bool {
+	if len(c.byName) != len(c.LUTs) {
+		return false
+	}
+	for i, l := range c.LUTs {
+		if l.id != i || c.byName[l.Name] != l {
+			return false
 		}
-		fmt.Fprintf(bw, " %s\n", emit[l.Name])
-		if ok, v := l.Table.IsConst(); ok {
-			// Constant LUT: an empty cover is constant 0; constant 1 is
-			// a single all-dashes row over the declared inputs.
-			if v {
-				if len(l.Inputs) == 0 {
-					fmt.Fprintln(bw, "1")
-				} else {
-					fmt.Fprintf(bw, "%s 1\n", strings.Repeat("-", len(l.Inputs)))
-				}
-			}
-			continue
-		}
-		for _, row := range l.Table.Minterms() {
-			fmt.Fprintf(bw, "%s 1\n", row)
+	}
+	for _, in := range c.Inputs {
+		if c.byName[in] != nil {
+			return false
 		}
 	}
 	for _, o := range outs {
-		if emit[o.Signal] == o.Name && !o.Invert {
-			continue
-		}
-		fmt.Fprintf(bw, ".names %s %s\n", emit[o.Signal], o.Name)
-		if o.Invert {
-			fmt.Fprintln(bw, "0 1")
-		} else {
-			fmt.Fprintln(bw, "1 1")
+		if c.byName[o.Name] != nil {
+			return false
 		}
 	}
 	for _, l := range c.Latches {
-		dname := emit[l.D]
 		if l.DInv {
-			inv := l.Q + "$D"
-			for reserved[inv] {
-				inv += "$"
-			}
-			reserved[inv] = true
-			fmt.Fprintf(bw, ".names %s %s\n0 1\n", dname, inv)
-			dname = inv
+			return false
 		}
-		fmt.Fprintf(bw, ".latch %s %s %c\n", dname, l.Q, l.Init)
 	}
-	fmt.Fprintln(bw, ".end")
-	return bw.Flush()
+	return true
+}
+
+// writeField writes name after a separating space.
+func writeField(bw *bufio.Writer, name string) {
+	bw.WriteByte(' ')
+	bw.WriteString(name)
+}
+
+// writeBuffer writes a one-input table driving out from in, inverted or
+// not.
+func writeBuffer(bw *bufio.Writer, in, out string, invert bool) {
+	bw.WriteString(".names ")
+	bw.WriteString(in)
+	writeField(bw, out)
+	if invert {
+		bw.WriteString("\n0 1\n")
+	} else {
+		bw.WriteString("\n1 1\n")
+	}
 }
 
 // String renders a compact description for debugging.

@@ -236,3 +236,110 @@ func TestNewPanicsOnBadK(t *testing.T) {
 	}()
 	New("bad", 0)
 }
+
+// blifCases are circuits whose BLIF text is pinned byte for byte: plain
+// names, renamed LUTs, latch inverters, and hand-edited circuits.
+func blifCases() map[string]*Circuit {
+	and := truth.Var(0, 2).And(truth.Var(1, 2))
+	xor := truth.Var(0, 2).Xor(truth.Var(1, 2))
+	cases := map[string]*Circuit{}
+
+	c := New("rows", 2)
+	c.AddInput("a")
+	c.AddInput("b")
+	c.AddLUT("and", []string{"a", "b"}, and)
+	c.AddLUT("xor", []string{"a", "b"}, xor)
+	c.MarkOutput("p", "and", false)
+	c.MarkOutput("q", "xor", true)
+	cases["rows"] = c
+
+	c = New("rename", 3)
+	c.AddInput("a")
+	c.AddInput("b")
+	c.AddLUT("y", []string{"a", "b"}, and)
+	c.AddLUT("y$int", []string{"y", "b"}, xor)
+	c.AddLUT("one", []string{"a"}, truth.Const(1, true))
+	c.AddLUT("zero", nil, truth.Const(0, false))
+	c.MarkOutput("y", "y", true)
+	c.MarkOutput("z", "y$int", false)
+	c.MarkOutput("k", "one", false)
+	c.MarkOutput("a", "a", false)
+	cases["rename"] = c
+
+	c = New("latch", 2)
+	c.AddInput("q")
+	c.AddInput("en")
+	c.AddInput("q$D")
+	c.AddLUT("d", []string{"q", "en"}, xor)
+	c.AddLatch("q", "d", true, '1')
+	c.AddLatch("q$D", "d", false, '2')
+	c.MarkOutput("y", "q", false)
+	cases["latch"] = c
+
+	c = New("undefined", 2)
+	c.AddInput("a")
+	c.AddLUT("g", []string{"a", "ghost"}, and)
+	c.MarkOutput("y", "g", false)
+	c.MarkOutput("w", "nowhere", false)
+	cases["undefined"] = c
+
+	// A LUT dropped from the list but still indexed by name is reached
+	// through its consumer, as before.
+	c = New("edited", 2)
+	c.AddInput("a")
+	c.AddInput("b")
+	c.AddLUT("g", []string{"a", "b"}, and)
+	c.AddLUT("h", []string{"g", "b"}, xor)
+	c.LUTs = c.LUTs[1:]
+	c.MarkOutput("y", "h", false)
+	cases["edited"] = c
+
+	// Reordered list: positions no longer match.
+	c = New("reordered", 2)
+	c.AddInput("a")
+	c.AddInput("b")
+	c.AddLUT("g", []string{"a", "b"}, and)
+	c.AddLUT("h", []string{"g", "b"}, xor)
+	c.AddLUT("i", []string{"h", "a"}, and)
+	c.LUTs[0], c.LUTs[2] = c.LUTs[2], c.LUTs[0]
+	c.MarkOutput("y", "i", false)
+	c.MarkOutput("x", "g", true)
+	cases["reordered"] = c
+	return cases
+}
+
+// TestWriteBLIFExact pins WriteBLIF's bytes for every naming path.
+func TestWriteBLIFExact(t *testing.T) {
+	want := map[string]string{
+		"rows":      ".model rows\n.inputs a b\n.outputs p q\n.names a b and\n11 1\n.names a b xor\n10 1\n01 1\n.names and p\n1 1\n.names xor q\n0 1\n.end\n",
+		"rename":    ".model rename\n.inputs a b\n.outputs a k y z\n.names a b y$int\n11 1\n.names y$int b y$int$int\n10 1\n01 1\n.names a one\n- 1\n.names zero\n.names one k\n1 1\n.names y$int y\n0 1\n.names y$int$int z\n1 1\n.end\n",
+		"latch":     ".model latch\n.inputs en\n.outputs y\n.names q en d\n10 1\n01 1\n.names q y\n1 1\n.names d q$D$\n0 1\n.latch q$D$ q 1\n.latch d q$D 2\n.end\n",
+		"undefined": ".model undefined\n.inputs a\n.outputs w y\n.names a  g\n11 1\n.names  w\n1 1\n.names g y\n1 1\n.end\n",
+		"edited":    ".model edited\n.inputs a b\n.outputs y\n.names a b g\n11 1\n.names g b h\n10 1\n01 1\n.names h y\n1 1\n.end\n",
+		"reordered": ".model reordered\n.inputs a b\n.outputs x y\n.names a b g\n11 1\n.names g b h\n10 1\n01 1\n.names h a i\n11 1\n.names g x\n0 1\n.names i y\n1 1\n.end\n",
+	}
+	for name, c := range blifCases() {
+		var sb strings.Builder
+		if err := c.WriteBLIF(&sb); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := sb.String(); got != want[name] {
+			t.Errorf("%s: wrote\n%q\nwant\n%q", name, got, want[name])
+		}
+	}
+}
+
+// TestWriteBLIFMintermRows checks the on-set rows of a LUT table,
+// variable 0 first: AND has the single row 11, XOR the rows 10 and 01.
+func TestWriteBLIFMintermRows(t *testing.T) {
+	var sb strings.Builder
+	if err := blifCases()["rows"].WriteBLIF(&sb); err != nil {
+		t.Fatal(err)
+	}
+	text := sb.String()
+	for _, table := range []string{".names a b and\n11 1\n.names", ".names a b xor\n10 1\n01 1\n.names"} {
+		if !strings.Contains(text, table) {
+			t.Errorf("missing table %q in\n%s", table, text)
+		}
+	}
+}

@@ -161,6 +161,9 @@ func (c *Circuit) removeLUT(name string) {
 	for i, l := range c.LUTs {
 		if l.Name == name {
 			c.LUTs = append(c.LUTs[:i], c.LUTs[i+1:]...)
+			for j := i; j < len(c.LUTs); j++ {
+				c.LUTs[j].id = j
+			}
 			delete(c.byName, name)
 			return
 		}

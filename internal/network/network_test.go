@@ -372,3 +372,45 @@ func TestValidateDuplicateOutputName(t *testing.T) {
 		t.Fatal("duplicate output name accepted")
 	}
 }
+
+// TestSweepAndCloneOutsideNodes covers nodes a hand-built network can
+// reach without holding them in Nodes, and IDs left stale by an edit.
+// Sweep bypasses, dedups and marks through such a node (keeping what it
+// reaches) without adding it; Clone has no copy of it and leaves nil.
+func TestSweepAndCloneOutsideNodes(t *testing.T) {
+	nw := New("outside")
+	a := nw.AddInput("a")
+	b := nw.AddInput("b")
+	g := nw.AddGate("g", OpAnd, Fanin{Node: a}, Fanin{Node: b})
+	// f sits outside Nodes with the ID of g; buf is an outside buffer.
+	f := &Node{Name: "f", Op: OpOr, Fanins: []Fanin{{Node: g}, {Node: a, Invert: true}}, ID: g.ID}
+	buf := &Node{Name: "buf", Op: OpAnd, Fanins: []Fanin{{Node: b, Invert: true}}, ID: 0}
+	h := nw.AddGate("h", OpAnd, Fanin{Node: f}, Fanin{Node: f}, Fanin{Node: buf}, Fanin{Node: b, Invert: true})
+	nw.MarkOutput("y", h, false)
+
+	if removed := nw.Sweep(); removed != 0 {
+		t.Fatalf("Sweep removed %d nodes, want 0 (g is live through f)", removed)
+	}
+	if len(nw.Nodes) != 4 || nw.Find("g") != g {
+		t.Fatalf("nodes after Sweep: %d, g found: %v", len(nw.Nodes), nw.Find("g") != nil)
+	}
+	want := []Fanin{{Node: f}, {Node: b, Invert: true}}
+	if len(h.Fanins) != len(want) || h.Fanins[0] != want[0] || h.Fanins[1] != want[1] {
+		t.Fatalf("h fanins after Sweep = %+v, want %+v", h.Fanins, want)
+	}
+
+	// Stale IDs: swap two nodes without a Reindex.
+	nw.Nodes[0], nw.Nodes[2] = nw.Nodes[2], nw.Nodes[0]
+	cp := nw.Clone()
+	ch := cp.Find("h")
+	if ch == nil || ch == h || ch.Fanins[0].Node != nil || ch.Fanins[1].Node != cp.Find("b") {
+		t.Fatalf("clone of h has fanins %+v; want nil for f, then the copy of b", ch.Fanins)
+	}
+	cg := cp.Find("g")
+	if cg.Fanins[0].Node != cp.Find("a") || cg.Fanins[1].Node != cp.Find("b") {
+		t.Fatal("clone of g does not read the copies of a and b")
+	}
+	if len(cp.Inputs) != 2 || cp.Inputs[0] != cp.Find("b") || cp.Inputs[1] != cp.Find("a") {
+		t.Fatalf("clone has %d inputs; want b, a in node order", len(cp.Inputs))
+	}
+}

@@ -14,7 +14,6 @@ package truth
 import (
 	"fmt"
 	"math/bits"
-	"strings"
 )
 
 // MaxVars is the largest supported number of variables. 2^(2^6) functions
@@ -218,24 +217,4 @@ func (t Table) NegateInputs(mask uint) Table {
 // row first, e.g. the 2-input AND is "Table[2]{0x8}".
 func (t Table) String() string {
 	return fmt.Sprintf("Table[%d]{%#x}", t.N, t.Bits)
-}
-
-// Minterms renders the on-set as a PLA-style cube list, one line per
-// minterm, for debugging and BLIF emission of raw tables.
-func (t Table) Minterms() []string {
-	var out []string
-	for m := uint(0); m < 1<<uint(t.N); m++ {
-		if t.Eval(m) {
-			var sb strings.Builder
-			for i := 0; i < t.N; i++ {
-				if m>>uint(i)&1 == 1 {
-					sb.WriteByte('1')
-				} else {
-					sb.WriteByte('0')
-				}
-			}
-			out = append(out, sb.String())
-		}
-	}
-	return out
 }

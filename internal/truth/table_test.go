@@ -201,19 +201,6 @@ func TestPClassRepresentativesAreCanonical(t *testing.T) {
 	}
 }
 
-func TestMinterms(t *testing.T) {
-	and := Var(0, 2).And(Var(1, 2))
-	ms := and.Minterms()
-	if len(ms) != 1 || ms[0] != "11" {
-		t.Fatalf("AND minterms = %v, want [11]", ms)
-	}
-	xor := Var(0, 2).Xor(Var(1, 2))
-	ms = xor.Minterms()
-	if len(ms) != 2 || ms[0] != "10" || ms[1] != "01" {
-		t.Fatalf("XOR minterms = %v", ms)
-	}
-}
-
 func BenchmarkCanonP4(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	tabs := make([]Table, 256)
