@@ -548,8 +548,9 @@ func TestTokenizerEquivalents(t *testing.T) {
 }
 
 // TestDeepChains reads 200,000-deep chains of buffer tables and of
-// 2-input AND tables under a 32 MiB goroutine stack. Lowering and Sweep
-// walk the chain with explicit stacks; recursion once per signal would
+// 2-input AND tables under a 32 MiB goroutine stack, and validates the
+// AND chain, as every map does first. Lowering, Sweep and TopoSort walk
+// the chain with explicit stacks; recursion once per signal would
 // overflow, which kills the process rather than returning an error.
 func TestDeepChains(t *testing.T) {
 	defer debug.SetMaxStack(debug.SetMaxStack(32 << 20))
@@ -598,6 +599,9 @@ func TestDeepChains(t *testing.T) {
 	}
 	if n != nw.Find("a") {
 		t.Fatalf("AND chain ends at %q, want a", n.Name)
+	}
+	if err := nw.Validate(); err != nil {
+		t.Fatalf("AND chain: %v", err)
 	}
 }
 

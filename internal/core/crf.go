@@ -295,10 +295,7 @@ func (m *mapper) realizeTreeCRF(root *network.Node, arr map[*network.Node]int32)
 		return 0, err
 	}
 	// Emit the tree's root LUT under the root's name.
-	name := root.Name
-	if m.ckt.Find(name) != nil || m.cktHasInput(name) {
-		name = m.fresh(root.Name)
-	}
+	name := m.rootName(root)
 	table := truth.FromFunc(len(mp.item.inputs), func(assign uint) bool {
 		val := make(map[string]bool, len(mp.item.inputs))
 		for i, in := range mp.item.inputs {

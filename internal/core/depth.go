@@ -257,11 +257,7 @@ func (m *mapper) realizeTreeDepth(root *network.Node, arr map[*network.Node]int3
 		units = gov.units
 	}
 	m.setProvTree(root.Name, lut.OriginFresh, units)
-	name := root.Name
-	if m.ckt.Find(name) != nil || m.cktHasInput(name) {
-		name = m.fresh(root.Name)
-	}
-	sig, err := m.emitLUT(ds.nodeDP, ds.full, ds.bestU, name, m.provFor(ds.nodeDP))
+	sig, err := m.emitLUT(ds.nodeDP, ds.full, ds.bestU, m.rootName(root), m.provFor(ds.nodeDP))
 	if err != nil {
 		return 0, err
 	}

@@ -2,9 +2,11 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 
 	"chortle/internal/forest"
 	"chortle/internal/network"
+	"chortle/internal/truth"
 )
 
 // The tree-mapping dynamic program (Sections 3.1.1–3.1.3).
@@ -37,6 +39,24 @@ import (
 //
 // G[S][1] (|S| >= 2) covers the case where the *rest* of a parent's
 // division wraps all of S into one intermediate node: G[S][1] = mm(S).
+//
+// Candidate order and ties. For each u, the candidates for G[S][u] are
+// visited in one fixed order: the singleton placements v = 1..u, then
+// the intermediate groups d = pivot | d', with d' running over the
+// proper nonempty submasks of S minus the pivot in descending order. A
+// candidate replaces the cell only when it is strictly cheaper, so the
+// first minimum in that order wins, and it fixes the recorded choice.
+// compute enumerates each group once per subset and updates the whole
+// row u = 2..K from the contiguous row G[S &^ d][1..K-1]. It skips a
+// group whose mm(d) is already >= every cell of the row. The skip is
+// exact: every cost is >= 0, so such a group cannot be strictly cheaper
+// anywhere. Each cell therefore sees the same candidates in the same
+// order as a loop that rescans the groups for every u.
+//
+// Work units. The governor is charged once per subset row, (K+1)^2 +
+// (K-1)*2^|S| units with the decomposition search on and (K+1)^2 with it
+// off. This is a budget currency, not an iteration count, so a budget
+// degrades the same trees however the loops are ordered.
 //
 // Memory layout: the G and choice tables of a node are flat slabs
 // indexed s*(K+1)+u, carved out of a per-goroutine dpArena, so building
@@ -172,8 +192,7 @@ func (dp *nodeDP) compute(a *dpArena, opts Options, gov *governor) {
 
 	for s := 1; s < size; s++ {
 		// One budget charge per subset row, sized to the row's search
-		// effort: the singleton scan is O(K^2) and the intermediate-group
-		// scan is O(K * 2^|s|) submask probes.
+		// effort (see the header comment).
 		if gov != nil {
 			work := int64(stride * stride)
 			if !opts.DisableDecomposition {
@@ -187,23 +206,21 @@ func (dp *nodeDP) compute(a *dpArena, opts Options, gov *governor) {
 		ch[0] = gChoice{}
 		pivot := bits.TrailingZeros32(uint32(s))
 		pbit := 1 << uint(pivot)
-		rest0 := g[(s^pbit)*stride:]
+		rest := s ^ pbit
 
+		// Singleton placements: the pivot takes v = 1..u of the pins.
+		var pc [truth.MaxVars + 1]int32
+		pc[1] = dp.costSignal(pivot)
+		for v := 2; v <= K; v++ {
+			pc[v] = dp.costMerge(pivot, v)
+		}
+		rr := g[rest*stride : (rest+1)*stride]
 		for u := 2; u <= K; u++ {
 			best := infinity
 			var bc gChoice
 			for v := 1; v <= u; v++ {
-				var c int32
-				if v == 1 {
-					c = dp.costSignal(pivot)
-				} else {
-					c = dp.costMerge(pivot, v)
-				}
-				if c >= infinity {
-					continue
-				}
-				r := rest0[u-v]
-				if r >= infinity {
+				c, r := pc[v], rr[u-v]
+				if c >= infinity || r >= infinity {
 					continue
 				}
 				if c+r < best {
@@ -211,28 +228,37 @@ func (dp *nodeDP) compute(a *dpArena, opts Options, gov *governor) {
 					bc = gChoice{kind: choiceSingleton, v: int8(v)}
 				}
 			}
-			if !opts.DisableDecomposition {
-				// Proper submasks d of s containing the pivot, |d| >= 2.
-				for d := (s - 1) & s; d > 0; d = (d - 1) & s {
-					if d&pbit == 0 || bits.OnesCount32(uint32(d)) < 2 {
-						continue
-					}
-					c := dp.mmBest[d] // d < s, already computed
-					if c >= infinity {
-						continue
-					}
-					r := g[(s&^d)*stride+u-1]
-					if r >= infinity {
-						continue
-					}
-					if c+r < best {
-						best = c + r
-						bc = gChoice{kind: choiceIntermediate, d: uint32(d)}
-					}
-				}
-			}
 			row[u] = best
 			ch[u] = bc
+		}
+
+		// Intermediate groups d = pivot | dr, dr over the proper nonempty
+		// submasks of rest in descending order, each updating the whole
+		// row u = 2..K from the contiguous row g[rest &^ dr][1..K-1].
+		if !opts.DisableDecomposition {
+			cur := row[2:]
+			top := slices.Max(cur)
+			for dr := (rest - 1) & rest; dr > 0; dr = (dr - 1) & rest {
+				c := dp.mmBest[dr|pbit] // dr|pbit < s, already computed
+				if c >= top {
+					continue // no cell can strictly improve: every r >= 0
+				}
+				base := (rest &^ dr) * stride
+				rem := g[base+1 : base+K]
+				hit := false
+				for i, r := range rem {
+					// c < infinity, so c+r cannot overflow, and an
+					// infeasible r (= infinity) never beats a cell.
+					if c+r < cur[i] {
+						cur[i] = c + r
+						ch[i+2] = gChoice{kind: choiceIntermediate, d: uint32(dr | pbit)}
+						hit = true
+					}
+				}
+				if hit {
+					top = slices.Max(cur)
+				}
+			}
 		}
 
 		// mm(s): the cost of an intermediate node covering exactly s.

@@ -14,41 +14,50 @@ import (
 
 // Circuit reconstruction. The DP records, for every (subset, utilization)
 // state, how the pivot fanin was placed; walking those choices rebuilds
-// the chosen cover. Each emitted LUT's truth table is evaluated from the
-// expression tree of the network logic it absorbs — including every edge
-// inversion, which is how Chortle gets inverters for free.
+// the chosen cover. Each emitted LUT's truth table is computed bitwise
+// while the walk collects its inputs: pin i contributes the projection
+// column of input i, an inverted edge complements its group's column —
+// which is how Chortle gets inverters for free — and each node ANDs or
+// ORs its groups' columns together.
 
-// exprNode is the function of one LUT over its collected input signals.
-type exprNode struct {
-	leaf     bool
-	inputIdx int // leaf: index into the LUT's input list
-	invert   bool
-	op       network.Op // internal: AND/OR over kids
-	kids     []*exprNode
+// projection[i] is the 64-row truth column of input i: bit m of it is
+// bit i of minterm m. A table over n <= 6 inputs is the low 2^n bits of
+// a column built from the first n projections.
+var projection = [truth.MaxVars]uint64{
+	0xAAAAAAAAAAAAAAAA,
+	0xCCCCCCCCCCCCCCCC,
+	0xF0F0F0F0F0F0F0F0,
+	0xFF00FF00FF00FF00,
+	0xFFFF0000FFFF0000,
+	0xFFFFFFFF00000000,
 }
 
-func evalExpr(e *exprNode, assign uint) bool {
-	if e.leaf {
-		return (assign>>uint(e.inputIdx)&1 == 1) != e.invert
-	}
-	var v bool
-	if e.op == network.OpAnd {
-		v = true
-		for _, k := range e.kids {
-			if !evalExpr(k, assign) {
-				v = false
-				break
-			}
+// lutPins gathers the distinct input signals of the LUT called name.
+// The DP grants a LUT at most K <= truth.MaxVars pins, so a fixed array
+// holds them (AddLUT copies the list).
+type lutPins struct {
+	name string
+	k    int
+	sig  [truth.MaxVars]string
+	n    int
+}
+
+// add interns sig and returns the truth column of its pin. Repeated
+// signals share a pin (the DP charges one pin per leaf edge, as the
+// paper does; the physical LUT can share the pin). A signal that would
+// be pin k+1 is refused before it indexes a projection.
+func (p *lutPins) add(sig string) (uint64, error) {
+	for i := 0; i < p.n; i++ {
+		if p.sig[i] == sig {
+			return projection[i], nil
 		}
-	} else {
-		for _, k := range e.kids {
-			if evalExpr(k, assign) {
-				v = true
-				break
-			}
-		}
 	}
-	return v != e.invert
+	if p.n >= p.k {
+		return 0, fmt.Errorf("core: LUT %q collected %d inputs for K=%d", p.name, p.n+1, p.k)
+	}
+	p.sig[p.n] = sig
+	p.n++
+	return projection[p.n-1], nil
 }
 
 // mapper carries the reconstruction state across trees.
@@ -59,6 +68,17 @@ type mapper struct {
 	ckt  *lut.Circuit
 	sig  map[*network.Node]string // realized signal of PIs and tree roots
 	seq  int
+
+	// isInput is the set of circuit input names, which fresh names and
+	// root LUT names must avoid.
+	isInput map[string]bool
+	// nameBuf is fresh's reused name buffer.
+	nameBuf []byte
+	// Template-lookup scratch, reused tree after tree: the tree's gate
+	// names and leaf signals in preorder, and patternOf's state.
+	names, leafSigs []string
+	firstLeaf       map[string]int
+	patBuf          []byte
 
 	// rec, when non-nil, passively records the emission of the current
 	// tree as a template for structurally identical trees (template.go).
@@ -72,14 +92,44 @@ type mapper struct {
 	provUnits  int64
 }
 
+// newMapper starts the reconstruction of the forest f of nw into an
+// empty circuit holding nw's inputs.
+func newMapper(nw *network.Network, f *forest.Forest, opts Options) *mapper {
+	m := &mapper{
+		opts:    opts,
+		nw:      nw,
+		f:       f,
+		ckt:     lut.New(nw.Name, opts.K),
+		sig:     make(map[*network.Node]string),
+		isInput: make(map[string]bool, len(nw.Inputs)),
+	}
+	for _, in := range nw.Inputs {
+		m.ckt.AddInput(in.Name)
+		m.isInput[in.Name] = true
+	}
+	return m
+}
+
+// fresh returns the next unused name of the form base$l<seq>.
 func (m *mapper) fresh(base string) string {
 	for {
 		m.seq++
-		name := fmt.Sprintf("%s$l%d", base, m.seq)
-		if m.ckt.Find(name) == nil && !m.cktHasInput(name) {
+		m.nameBuf = append(append(m.nameBuf[:0], base...), "$l"...)
+		m.nameBuf = strconv.AppendInt(m.nameBuf, int64(m.seq), 10)
+		name := string(m.nameBuf)
+		if m.ckt.Find(name) == nil && !m.isInput[name] {
 			return name
 		}
 	}
+}
+
+// rootName is the name of a tree's root LUT: the root's own name, or a
+// fresh one when an earlier LUT or a circuit input already holds it.
+func (m *mapper) rootName(root *network.Node) string {
+	if m.ckt.Find(root.Name) != nil || m.isInput[root.Name] {
+		return m.fresh(root.Name)
+	}
+	return root.Name
 }
 
 // freshFor draws a fresh name seeded by dp's node, noting the draw for
@@ -90,28 +140,6 @@ func (m *mapper) freshFor(dp *nodeDP) string {
 		m.rec.noteFresh(name, dp.nodeIdx)
 	}
 	return name
-}
-
-func (m *mapper) cktHasInput(name string) bool {
-	for _, in := range m.ckt.Inputs {
-		if in == name {
-			return true
-		}
-	}
-	return false
-}
-
-// addInput interns a signal in the LUT's input list, deduplicating
-// repeated signals (the DP charges one pin per leaf edge, as the paper
-// does; the physical LUT can share the pin).
-func addInput(inputs *[]string, sig string) int {
-	for i, s := range *inputs {
-		if s == sig {
-			return i
-		}
-	}
-	*inputs = append(*inputs, sig)
-	return len(*inputs) - 1
 }
 
 // leafSignal resolves a leaf edge's node to its finished signal: the PI
@@ -145,16 +173,22 @@ func (m *mapper) signalOf(fr faninRef) (string, error) {
 	return m.emitLUT(c, c.full, c.bestU, m.freshFor(c), m.provFor(c))
 }
 
-// collectGroups walks the DP choices for (dp, s, u), returning the
-// group expressions of the covering LUT and extending inputs with the
-// signals it consumes. pf (nil when provenance is off) accumulates the
-// covered nodes and shape tokens of the LUT being collected.
-func (m *mapper) collectGroups(dp *nodeDP, s uint32, u int, inputs *[]string, pf *provFrame) ([]*exprNode, error) {
-	var groups []*exprNode
+// collectGroups walks the DP choices for (dp, s, u), returning the truth
+// column of op(dp.node) over the groups it places and adding the
+// signals they consume to pins. pf (nil when provenance is off)
+// accumulates the covered nodes and shape tokens of the LUT being
+// collected.
+func (m *mapper) collectGroups(dp *nodeDP, s uint32, u int, pins *lutPins, pf *provFrame) (uint64, error) {
+	and := dp.node.Op == network.OpAnd
+	var col uint64
+	if and {
+		col = ^uint64(0)
+	}
 	for s != 0 {
 		if u < 1 {
-			return nil, fmt.Errorf("core: utilization underflow reconstructing %q", dp.node.Name)
+			return 0, fmt.Errorf("core: utilization underflow reconstructing %q", dp.node.Name)
 		}
+		var grp uint64
 		ch := dp.choiceAt(s, u)
 		switch ch.kind {
 		case choiceSingleton:
@@ -163,58 +197,66 @@ func (m *mapper) collectGroups(dp *nodeDP, s uint32, u int, inputs *[]string, pf
 			if ch.v == 1 {
 				sig, err := m.signalOf(fr)
 				if err != nil {
-					return nil, err
+					return 0, err
 				}
 				pf.token("pin")
-				groups = append(groups, &exprNode{leaf: true, inputIdx: addInput(inputs, sig), invert: fr.edge.Invert})
+				if grp, err = pins.add(sig); err != nil {
+					return 0, err
+				}
 			} else {
 				c := fr.child
 				pf.open("merge")
 				pf.cover(c.node.Name, c.nodeIdx)
-				kids, err := m.collectGroups(c, c.full, int(ch.v), inputs, pf)
-				if err != nil {
-					return nil, err
+				var err error
+				if grp, err = m.collectGroups(c, c.full, int(ch.v), pins, pf); err != nil {
+					return 0, err
 				}
 				pf.close()
-				groups = append(groups, &exprNode{op: c.node.Op, kids: kids, invert: fr.edge.Invert})
+			}
+			if fr.edge.Invert {
+				grp = ^grp
 			}
 			s &^= 1 << uint(pivot)
 			u -= int(ch.v)
 		case choiceIntermediate:
 			sig, err := m.emitLUT(dp, ch.d, int(dp.mmBestU[ch.d]), m.freshFor(dp), m.provGroupFor(dp))
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
 			if pf != nil {
 				pf.token("grp" + strconv.Itoa(bits.OnesCount32(ch.d)))
 			}
-			groups = append(groups, &exprNode{leaf: true, inputIdx: addInput(inputs, sig)})
+			if grp, err = pins.add(sig); err != nil {
+				return 0, err
+			}
 			s &^= ch.d
 			u--
 		default:
-			return nil, fmt.Errorf("core: no DP choice recorded for %q subset %b utilization %d", dp.node.Name, s, u)
+			return 0, fmt.Errorf("core: no DP choice recorded for %q subset %b utilization %d", dp.node.Name, s, u)
+		}
+		if and {
+			col &= grp
+		} else {
+			col |= grp
 		}
 	}
 	if u != 0 {
-		return nil, fmt.Errorf("core: utilization leftover %d reconstructing %q", u, dp.node.Name)
+		return 0, fmt.Errorf("core: utilization leftover %d reconstructing %q", u, dp.node.Name)
 	}
-	return groups, nil
+	return col, nil
 }
 
 // emitLUT materializes one lookup table computing op(dp.node) over the
 // fanin subset s with utilization u, returning its signal name. pf, when
 // non-nil, becomes the LUT's provenance record.
 func (m *mapper) emitLUT(dp *nodeDP, s uint32, u int, name string, pf *provFrame) (string, error) {
-	var inputs []string
-	groups, err := m.collectGroups(dp, s, u, &inputs, pf)
+	pins := lutPins{name: name, k: m.opts.K}
+	col, err := m.collectGroups(dp, s, u, &pins, pf)
 	if err != nil {
 		return "", err
 	}
-	root := &exprNode{op: dp.node.Op, kids: groups}
-	if len(inputs) > m.opts.K {
-		return "", fmt.Errorf("core: LUT %q collected %d inputs for K=%d", name, len(inputs), m.opts.K)
-	}
-	table := truth.FromFunc(len(inputs), func(assign uint) bool { return evalExpr(root, assign) })
+	inputs := pins.sig[:pins.n]
+	table := truth.New(pins.n, col)
 	m.ckt.AddLUT(name, inputs, table)
 	if m.rec != nil {
 		m.rec.noteLUT(name, inputs, table)
@@ -226,11 +268,7 @@ func (m *mapper) emitLUT(dp *nodeDP, s uint32, u int, name string, pf *provFrame
 // realizeTreeFromDP reconstructs a tree's circuit from a computed,
 // mappable DP.
 func (m *mapper) realizeTreeFromDP(root *network.Node, dp *nodeDP) (int32, error) {
-	name := root.Name
-	if m.ckt.Find(name) != nil || m.cktHasInput(name) {
-		name = m.fresh(root.Name)
-	}
-	sig, err := m.emitLUT(dp, dp.full, dp.bestU, name, m.provFor(dp))
+	sig, err := m.emitLUT(dp, dp.full, dp.bestU, m.rootName(root), m.provFor(dp))
 	if err != nil {
 		return 0, err
 	}
@@ -285,7 +323,7 @@ func (m *mapper) realizeTreeMemo(root *network.Node, mc *mapCtx) (int32, error) 
 	if err != nil {
 		return 0, err
 	}
-	pattern := patternOf(leafSigs)
+	pattern := m.patternOf(leafSigs)
 	if t := e.templateFor(pattern); t != nil {
 		m.setProvTree(root.Name, lut.OriginReplay, 0)
 		if _, err := m.replayTemplate(root, t, names, leafSigs); err != nil {

@@ -1,0 +1,143 @@
+package core
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"chortle/internal/forest"
+	"chortle/internal/network"
+)
+
+// TestReconstructNamesAvoidClashes pins the names reconstruction picks
+// when the obvious ones are taken. Inputs g$l1 and g$l2 look like the
+// fresh names of gate g's intermediate LUTs, so the fresh-name sequence
+// must skip them. The root of the second tree is called g$l3, which g's
+// tree has already used by then, so that root LUT takes a fresh name.
+func TestReconstructNamesAvoidClashes(t *testing.T) {
+	nw := network.New("clash")
+	var ins []*network.Node
+	for _, name := range []string{"a", "b", "c", "d", "e", "g$l1", "g$l2"} {
+		ins = append(ins, nw.AddInput(name))
+	}
+	fin := func(n *network.Node, inv bool) network.Fanin { return network.Fanin{Node: n, Invert: inv} }
+	g := nw.AddGate("g", network.OpAnd, fin(ins[0], false), fin(ins[1], true), fin(ins[2], false), fin(ins[3], false), fin(ins[5], false))
+	h := nw.AddGate("g$l3", network.OpOr, fin(g, true), fin(ins[6], false), fin(ins[4], true))
+	nw.MarkOutput("y1", g, false)
+	nw.MarkOutput("y2", h, false)
+
+	res, err := Map(nw, DefaultOptions(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := res.Circuit.WriteBLIF(&sb); err != nil {
+		t.Fatal(err)
+	}
+	const want = `.model clash
+.inputs a b c d e g$l1 g$l2
+.outputs y1 y2
+.names d g$l1 g$l5
+11 1
+.names c g$l5 g$l4
+11 1
+.names b g$l4 g$l3
+01 1
+.names a g$l3 g
+11 1
+.names g$l2 e g$l3$l7
+00 1
+10 1
+11 1
+.names g g$l3$l7 g$l3$l6
+00 1
+01 1
+11 1
+.names g y1
+1 1
+.names g$l3$l6 y2
+1 1
+.end
+`
+	if got := sb.String(); got != want {
+		t.Errorf("BLIF:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// corruptTree solves a single AND gate over n inputs at K=k, hands its
+// DP tables to corrupt, and reconstructs the tree from them.
+func corruptTree(t *testing.T, n, k int, corrupt func(dp *nodeDP)) error {
+	t.Helper()
+	nw := network.New("corrupt")
+	fins := make([]network.Fanin, n)
+	for i := range fins {
+		fins[i] = network.Fanin{Node: nw.AddInput(fmt.Sprintf("x%d", i))}
+	}
+	root := nw.AddGate("r", network.OpAnd, fins...)
+	nw.MarkOutput("y", root, false)
+	f, err := forest.Decompose(nw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions(k)
+	dp := buildDP(f, root, opts)
+	corrupt(dp)
+	_, err = newMapper(nw, f, opts).realizeTreeFromDP(root, dp)
+	return err
+}
+
+func setChoice(dp *nodeDP, s uint32, u int, c gChoice) {
+	dp.choice[int(s)*int(dp.stride)+u] = c
+}
+
+var pinChoice = gChoice{kind: choiceSingleton, v: 1}
+
+// TestReconstructRefusesCorruptChoices hand-corrupts DP choice cells
+// and checks that reconstruction refuses each inconsistency with its
+// error instead of emitting a wrong LUT or panicking.
+func TestReconstructRefusesCorruptChoices(t *testing.T) {
+	// An intermediate group over x0..xK granted K+1 pins: its walk
+	// collects K+1 distinct inputs. At K=6 the seventh must be refused
+	// before it indexes a projection column.
+	for _, k := range []int{2, 6} {
+		err := corruptTree(t, k+2, k, func(dp *nodeDP) {
+			d := uint32(1)<<uint(k+1) - 1
+			dp.mmBestU[d] = int8(k + 1)
+			for j := 0; j <= k; j++ {
+				setChoice(dp, d&^(uint32(1)<<uint(j)-1), k+1-j, pinChoice)
+			}
+			setChoice(dp, dp.full, dp.bestU, gChoice{kind: choiceIntermediate, d: d})
+		})
+		want := fmt.Sprintf(`core: LUT "r$l1" collected %d inputs for K=%d`, k+1, k)
+		if err == nil || err.Error() != want {
+			t.Errorf("K=%d: error %v, want %s", k, err, want)
+		}
+	}
+
+	cases := []struct {
+		name    string
+		corrupt func(dp *nodeDP)
+		want    string
+	}{
+		{"underflow", func(dp *nodeDP) {
+			dp.bestU = 2
+			setChoice(dp, 0b111, 2, pinChoice)
+			setChoice(dp, 0b110, 1, pinChoice)
+		}, `core: utilization underflow reconstructing "r"`},
+		{"leftover", func(dp *nodeDP) {
+			dp.bestU = 4
+			setChoice(dp, 0b111, 4, pinChoice)
+			setChoice(dp, 0b110, 3, pinChoice)
+			setChoice(dp, 0b100, 2, pinChoice)
+		}, `core: utilization leftover 1 reconstructing "r"`},
+		{"no choice", func(dp *nodeDP) {
+			setChoice(dp, 0b111, dp.bestU, gChoice{})
+		}, `core: no DP choice recorded for "r" subset 111 utilization 3`},
+	}
+	for _, c := range cases {
+		err := corruptTree(t, 3, 4, c.corrupt)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: error %v, want %s", c.name, err, c.want)
+		}
+	}
+}

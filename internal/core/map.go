@@ -110,16 +110,7 @@ func MapCtx(ctx context.Context, input *network.Network, opts Options) (*Result,
 		return nil, err
 	}
 
-	m := &mapper{
-		opts: opts,
-		nw:   nw,
-		f:    f,
-		ckt:  lut.New(nw.Name, opts.K),
-		sig:  make(map[*network.Node]string),
-	}
-	for _, in := range nw.Inputs {
-		m.ckt.AddInput(in.Name)
-	}
+	m := newMapper(nw, f, opts)
 
 	predicted := 0
 	var degraded []string

@@ -148,19 +148,24 @@ func rebindDP(a *dpArena, cached *nodeDP, f *forest.Forest, root *network.Node) 
 
 // patternOf canonicalizes which leaf signals coincide: entry i is the
 // first leaf index carrying the same signal as leaf i. Two same-shaped
-// trees with equal patterns emit identical LUT structure.
-func patternOf(sigs []string) string {
-	buf := make([]byte, 0, 3*len(sigs))
-	first := make(map[string]int, len(sigs))
+// trees with equal patterns emit identical LUT structure. The map and
+// buffer it works in are the mapper's scratch.
+func (m *mapper) patternOf(sigs []string) string {
+	if m.firstLeaf == nil {
+		m.firstLeaf = make(map[string]int)
+	}
+	clear(m.firstLeaf)
+	buf := m.patBuf[:0]
 	for i, s := range sigs {
-		j, ok := first[s]
+		j, ok := m.firstLeaf[s]
 		if !ok {
 			j = i
-			first[s] = i
+			m.firstLeaf[s] = i
 		}
 		buf = strconv.AppendInt(buf, int64(j), 10)
 		buf = append(buf, '.')
 	}
+	m.patBuf = buf
 	return string(buf)
 }
 

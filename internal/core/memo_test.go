@@ -149,15 +149,18 @@ func TestPatternOf(t *testing.T) {
 		{[]string{"a", "b", "c"}, "0.1.2."},
 		{[]string{"a", "a", "c"}, "0.0.2."},
 		{[]string{"a", "b", "a", "b"}, "0.1.0.1."},
+		{[]string{"b", "a"}, "0.1."},
 	}
+	// One mapper throughout: its scratch must not leak between calls.
+	m := &mapper{}
 	for _, c := range cases {
-		if got := patternOf(c.sigs); got != c.want {
+		if got := m.patternOf(c.sigs); got != c.want {
 			t.Errorf("patternOf(%v) = %q, want %q", c.sigs, got, c.want)
 		}
 	}
 	// Distinct coincidence structures must key distinct templates even
 	// when the signal sets overlap.
-	if patternOf([]string{"a", "a", "b"}) == patternOf([]string{"a", "b", "b"}) {
+	if m.patternOf([]string{"a", "a", "b"}) == m.patternOf([]string{"a", "b", "b"}) {
 		t.Errorf("different coincidence structures share a pattern key")
 	}
 }

@@ -134,48 +134,50 @@ func (r *emitRecorder) template() *emitTemplate {
 
 // treeNamesAndLeafSigs walks the tree rooted at root in the DP's
 // preorder, returning the gate names (indexed by nodeIdx) and the
-// resolved signal of every leaf edge (indexed by leafIdx).
+// resolved signal of every leaf edge (indexed by leafIdx). Both slices
+// are the mapper's scratch, valid until the next call.
 func (m *mapper) treeNamesAndLeafSigs(root *network.Node) (names []string, sigs []string, err error) {
-	var walk func(n *network.Node) error
-	walk = func(n *network.Node) error {
-		names = append(names, n.Name)
-		for _, e := range n.Fanins {
-			if m.f.IsLeafEdge(e.Node) {
-				s, lerr := m.leafSignal(e.Node)
-				if lerr != nil {
-					return lerr
-				}
-				sigs = append(sigs, s)
-			} else if werr := walk(e.Node); werr != nil {
-				return werr
-			}
-		}
-		return nil
-	}
-	if err = walk(root); err != nil {
+	m.names, m.leafSigs = m.names[:0], m.leafSigs[:0]
+	if err := m.walkTree(root); err != nil {
 		return nil, nil, err
 	}
-	return names, sigs, nil
+	return m.names, m.leafSigs, nil
+}
+
+func (m *mapper) walkTree(n *network.Node) error {
+	m.names = append(m.names, n.Name)
+	for _, e := range n.Fanins {
+		if !m.f.IsLeafEdge(e.Node) {
+			if err := m.walkTree(e.Node); err != nil {
+				return err
+			}
+			continue
+		}
+		s, err := m.leafSignal(e.Node)
+		if err != nil {
+			return err
+		}
+		m.leafSigs = append(m.leafSigs, s)
+	}
+	return nil
 }
 
 // replayTemplate re-emits a recorded tree for the structurally identical
 // tree rooted at root, and registers its root signal.
 func (m *mapper) replayTemplate(root *network.Node, t *emitTemplate, names []string, leafSigs []string) (string, error) {
-	rootName := root.Name
-	if m.ckt.Find(rootName) != nil || m.cktHasInput(rootName) {
-		rootName = m.fresh(root.Name)
-	}
+	rootName := m.rootName(root)
 	freshNames := make([]string, len(t.freshes))
 	for i, idx := range t.freshes {
 		freshNames[i] = m.fresh(names[idx])
 	}
 	emitted := make([]string, len(t.luts))
+	var buf [truth.MaxVars]string // AddLUT copies the input list
 	for j, spec := range t.luts {
 		name := rootName
 		if spec.nameRef >= 0 {
 			name = freshNames[spec.nameRef]
 		}
-		inputs := make([]string, len(spec.inputs))
+		inputs := buf[:len(spec.inputs)]
 		for i, tok := range spec.inputs {
 			if tok >= 0 {
 				inputs[i] = leafSigs[tok]

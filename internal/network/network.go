@@ -194,57 +194,100 @@ func (nw *Network) FanoutCounts() []int {
 
 // TopoSort returns the nodes in topological order (fanins before
 // consumers) or an error if the graph has a cycle or a dangling edge.
+// The depth-first walk keeps an explicit stack, so a deep chain cannot
+// overflow the goroutine stack.
 func (nw *Network) TopoSort() ([]*Node, error) {
 	nw.Reindex()
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	state := make([]uint8, len(nw.Nodes))
-	order := make([]*Node, 0, len(nw.Nodes))
-	var visit func(n *Node) error
-	visit = func(n *Node) error {
-		switch state[n.ID] {
-		case gray:
-			return fmt.Errorf("network %q: %w through node %q", nw.Name, cerrs.ErrCycle, n.Name)
-		case black:
-			return nil
-		}
-		state[n.ID] = gray
-		for _, f := range n.Fanins {
-			if f.Node == nil {
-				return fmt.Errorf("network %q: node %q has nil fanin", nw.Name, n.Name)
-			}
-			if f.Node.ID >= len(nw.Nodes) || nw.Nodes[f.Node.ID] != f.Node {
-				return fmt.Errorf("network %q: node %q has fanin %q not in network", nw.Name, n.Name, f.Node.Name)
-			}
-			if err := visit(f.Node); err != nil {
-				return err
-			}
-		}
-		state[n.ID] = black
-		order = append(order, n)
-		return nil
+	w := topoWalk{
+		nw:    nw,
+		state: make([]uint8, len(nw.Nodes)),
+		order: make([]*Node, 0, len(nw.Nodes)),
+		stack: make([]topoFrame, 0, 64),
 	}
 	// Visit from outputs first so the order favours live logic, then the
 	// rest so dangling nodes still get positions.
 	for _, o := range nw.Outputs {
-		if err := visit(o.Node); err != nil {
+		if err := w.visit(o.Node); err != nil {
 			return nil, err
 		}
 	}
 	for _, l := range nw.Latches {
-		if err := visit(l.D); err != nil {
+		if err := w.visit(l.D); err != nil {
 			return nil, err
 		}
 	}
 	for _, n := range nw.Nodes {
-		if err := visit(n); err != nil {
+		if err := w.visit(n); err != nil {
 			return nil, err
 		}
 	}
-	return order, nil
+	return w.order, nil
+}
+
+// topoWalk is TopoSort's depth-first walk. state holds each node's
+// colour by ID: unvisited, on the stack, or done.
+type topoWalk struct {
+	nw    *Network
+	state []uint8
+	order []*Node
+	stack []topoFrame
+}
+
+type topoFrame struct {
+	n    *Node
+	next int // index of the next fanin to visit
+}
+
+const (
+	topoWhite = iota
+	topoGray
+	topoBlack
+)
+
+// visit appends root and every node below it to the order in
+// post-order, taking fanins in order, as a recursive walk would.
+// Reaching a node that is still on the stack closes a cycle.
+func (w *topoWalk) visit(root *Node) error {
+	nw, state, stack := w.nw, w.state, w.stack[:0]
+	switch state[root.ID] {
+	case topoGray:
+		return w.cycle(root)
+	case topoBlack:
+		return nil
+	}
+	state[root.ID] = topoGray
+	stack = append(stack, topoFrame{n: root})
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		n := top.n
+		if top.next == len(n.Fanins) {
+			state[n.ID] = topoBlack
+			w.order = append(w.order, n)
+			stack = stack[:len(stack)-1]
+			continue
+		}
+		f := n.Fanins[top.next]
+		top.next++
+		if f.Node == nil {
+			return fmt.Errorf("network %q: node %q has nil fanin", nw.Name, n.Name)
+		}
+		if f.Node.ID >= len(nw.Nodes) || nw.Nodes[f.Node.ID] != f.Node {
+			return fmt.Errorf("network %q: node %q has fanin %q not in network", nw.Name, n.Name, f.Node.Name)
+		}
+		switch state[f.Node.ID] {
+		case topoGray:
+			return w.cycle(f.Node)
+		case topoWhite:
+			state[f.Node.ID] = topoGray
+			stack = append(stack, topoFrame{n: f.Node})
+		}
+	}
+	w.stack = stack // keep the grown stack for the next root
+	return nil
+}
+
+func (w *topoWalk) cycle(n *Node) error {
+	return fmt.Errorf("network %q: %w through node %q", w.nw.Name, cerrs.ErrCycle, n.Name)
 }
 
 // Validate checks structural invariants: unique names, registered
