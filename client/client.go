@@ -19,6 +19,11 @@
 // duplicate request to the next healthy address, first answer wins.
 // Mapping is deterministic and side-effect free, so hedging never
 // produces divergent answers, only lower tail latency.
+//
+// On the wire, Map sends the BLIF itself as the request body with the
+// options in the query string, and asks for MapMediaType ahead of JSON.
+// A server that knows that type answers with the mapped BLIF verbatim
+// after one line of JSON metadata; any other answer is read as JSON.
 package client
 
 import (
@@ -30,6 +35,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -39,23 +45,44 @@ import (
 	"chortle"
 )
 
-// MapRequest is one mapping request. BLIF is required; zero-valued
+// MapMediaType is the Content-Type of a framed /map success: one line
+// of JSON metadata (a MapResponse without "blif"), a newline, then the
+// mapped BLIF, byte for byte. Map asks for it in its Accept header; a
+// request that does not ask gets a JSON body.
+const MapMediaType = "application/vnd.chortle.map"
+
+// maxResponseBody bounds the body a Map attempt reads. bodyHint bounds
+// how much of a declared Content-Length is allocated before the bytes
+// arrive; a longer body grows the buffer as it arrives.
+const (
+	maxResponseBody = 256 << 20
+	bodyHint        = 64 << 10
+)
+
+// errResponseTooLarge refuses a body over the client's limit. Mapping
+// is deterministic, so another attempt would get the same body: it is
+// not retried.
+var errResponseTooLarge = errors.New("client: response body too large")
+
+// MapRequest is one mapping request. BLIF is required and is sent as
+// the request body; the options go in the query string, and zero-valued
 // options take the server's defaults.
 type MapRequest struct {
-	BLIF string `json:"blif"`
-	K    int    `json:"k,omitempty"`
+	BLIF string
+	K    int
 	// Engine selects the server-side mapping algorithm: "tree" (default),
 	// "mis" or "cut".
-	Engine          string `json:"engine,omitempty"`
-	BudgetWorkUnits int64  `json:"budget_work_units,omitempty"`
+	Engine          string
+	BudgetWorkUnits int64
 	// DeadlineMS bounds the server-side solve. When zero and the context
 	// has a deadline, the client derives it from the context so the
 	// server's queue-deadline admission can drop requests that would
 	// miss it anyway.
-	DeadlineMS int64 `json:"deadline_ms,omitempty"`
+	DeadlineMS int64
 }
 
-// MapResponse is the server's success body.
+// MapResponse is the server's success body: a JSON object, or the
+// metadata line and BLIF of a MapMediaType body.
 type MapResponse struct {
 	Circuit     string   `json:"circuit"`
 	K           int      `json:"k"`
@@ -190,9 +217,10 @@ type Client struct {
 	mToOpen, mToHalfOpen, mToClosed counter
 
 	// test seams
-	sleep  func(ctx context.Context, d time.Duration) error
-	jitter func(max time.Duration) time.Duration
-	now    func() time.Time
+	sleep   func(ctx context.Context, d time.Duration) error
+	jitter  func(max time.Duration) time.Duration
+	now     func() time.Time
+	maxBody int64 // bytes an attempt reads before refusing the body
 }
 
 // counter is the narrow metrics dependency, satisfied by the registry's
@@ -253,7 +281,8 @@ func New(cfg Config) (*Client, error) {
 			}
 			return time.Duration(rand.Int63n(int64(max)))
 		},
-		now: time.Now,
+		now:     time.Now,
+		maxBody: maxResponseBody,
 	}
 	c.breakers = make([]*breaker, len(cfg.Addrs))
 	for i := range c.breakers {
@@ -313,10 +342,7 @@ func (c *Client) Map(ctx context.Context, req MapRequest) (res *MapResponse, err
 			}
 		}
 	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
+	query := encodeQuery(req)
 	c.requests.Add(1)
 
 	// rt is nil (and every span call inert) unless Config.Spans asked
@@ -346,7 +372,7 @@ func (c *Client) Map(ctx context.Context, req MapRequest) (res *MapResponse, err
 		if !ok {
 			lastErr = c.stampErr(ErrNoHealthyAddr)
 		} else {
-			res, err := c.attemptWithHedge(ctx, rt, addrIdx, body)
+			res, err := c.attemptWithHedge(ctx, rt, addrIdx, req.BLIF, query)
 			if err == nil {
 				c.mOK.Inc()
 				if rt != nil {
@@ -377,6 +403,24 @@ func (c *Client) Map(ctx context.Context, req MapRequest) (res *MapResponse, err
 			return nil, fmt.Errorf("%w (last failure: %v)", sleepErr, lastErr)
 		}
 	}
+}
+
+// encodeQuery puts the request's options in a /map query string,
+// leaving out those at their zero value (the server's default).
+func encodeQuery(req MapRequest) string {
+	q := url.Values{}
+	set := func(name string, v int64) {
+		if v != 0 {
+			q.Set(name, strconv.FormatInt(v, 10))
+		}
+	}
+	set("k", int64(req.K))
+	set("budget_work_units", req.BudgetWorkUnits)
+	set("deadline_ms", req.DeadlineMS)
+	if req.Engine != "" {
+		q.Set("engine", req.Engine)
+	}
+	return q.Encode()
 }
 
 // newTrace opens a client-side request trace, or returns nil (the
@@ -419,6 +463,9 @@ func retryable(err error) bool {
 	if errors.Is(err, ErrNoHealthyAddr) {
 		return true // waiting out a cooldown may free an address
 	}
+	if errors.Is(err, errResponseTooLarge) {
+		return false
+	}
 	var apiErr *APIError
 	if errors.As(err, &apiErr) {
 		return apiErr.Retryable()
@@ -444,9 +491,9 @@ func (c *Client) pickAddr() (int, bool) {
 // address is healthy — a duplicate to the next address. First answer
 // (success or permanent failure) wins; the loser's context is
 // cancelled. Breakers settle per physical request.
-func (c *Client) attemptWithHedge(ctx context.Context, rt *chortle.ReqTrace, addrIdx int, body []byte) (*MapResponse, error) {
+func (c *Client) attemptWithHedge(ctx context.Context, rt *chortle.ReqTrace, addrIdx int, blif, query string) (*MapResponse, error) {
 	if c.cfg.HedgeDelay <= 0 || len(c.cfg.Addrs) < 2 {
-		return c.do(ctx, rt, "attempt", addrIdx, body)
+		return c.do(ctx, rt, "attempt", addrIdx, blif, query)
 	}
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -457,7 +504,7 @@ func (c *Client) attemptWithHedge(ctx context.Context, rt *chortle.ReqTrace, add
 	results := make(chan outcome, 2)
 	launched := 1
 	go func() {
-		res, err := c.do(actx, rt, "attempt", addrIdx, body)
+		res, err := c.do(actx, rt, "attempt", addrIdx, blif, query)
 		results <- outcome{res, err}
 	}()
 	hedgeTimer := time.NewTimer(c.cfg.HedgeDelay)
@@ -472,7 +519,7 @@ func (c *Client) attemptWithHedge(ctx context.Context, rt *chortle.ReqTrace, add
 				c.hedges.Add(1)
 				c.mHedges.Inc()
 				go func() {
-					res, err := c.do(actx, rt, "hedge", hIdx, body)
+					res, err := c.do(actx, rt, "hedge", hIdx, blif, query)
 					results <- outcome{res, err}
 				}()
 			}
@@ -499,8 +546,9 @@ func (c *Client) attemptWithHedge(ctx context.Context, rt *chortle.ReqTrace, add
 // do performs one physical HTTP request and settles the address's
 // breaker on the result. spanName distinguishes primary attempts from
 // hedges on the trace; the attempt span carries the address, the status
-// code, and any breaker transition this attempt caused.
-func (c *Client) do(ctx context.Context, rt *chortle.ReqTrace, spanName string, addrIdx int, body []byte) (*MapResponse, error) {
+// code, and any breaker transition this attempt caused. The BLIF goes
+// out as the body, read in place.
+func (c *Client) do(ctx context.Context, rt *chortle.ReqTrace, spanName string, addrIdx int, blif, query string) (*MapResponse, error) {
 	c.attempts.Add(1)
 	b := c.breakers[addrIdx]
 	sp := rt.Start(spanName)
@@ -518,13 +566,17 @@ func (c *Client) do(ctx context.Context, rt *chortle.ReqTrace, spanName string, 
 		}
 		sp.End()
 	}
-	url := strings.TrimSuffix(c.cfg.Addrs[addrIdx], "/") + "/map"
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+	target := strings.TrimSuffix(c.cfg.Addrs[addrIdx], "/") + "/map"
+	if query != "" {
+		target += "?" + query
+	}
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, target, strings.NewReader(blif))
 	if err != nil {
 		settle(0)
 		return nil, err
 	}
-	hreq.Header.Set("Content-Type", "application/json")
+	hreq.Header.Set("Content-Type", "text/plain")
+	hreq.Header.Set("Accept", MapMediaType+", application/json")
 	if rt != nil {
 		// The attempt span is the server root's parent, so each retry or
 		// hedge becomes its own subtree of this one trace.
@@ -539,7 +591,12 @@ func (c *Client) do(ctx context.Context, rt *chortle.ReqTrace, spanName string, 
 		return nil, err
 	}
 	defer resp.Body.Close()
-	payload, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
+	payload, err := readBody(resp.Body, resp.ContentLength, c.maxBody)
+	if errors.Is(err, errResponseTooLarge) {
+		b.onSuccess() // the server answered; it is healthy
+		settle(resp.StatusCode)
+		return nil, fmt.Errorf("%w: HTTP %d from %s is over %d bytes", err, resp.StatusCode, c.cfg.Addrs[addrIdx], c.maxBody)
+	}
 	if err != nil {
 		b.onFailure()
 		settle(resp.StatusCode)
@@ -567,8 +624,14 @@ func (c *Client) do(ctx context.Context, rt *chortle.ReqTrace, spanName string, 
 		settle(resp.StatusCode)
 		return nil, apiErr
 	}
-	var mr MapResponse
-	if err := json.Unmarshal(payload, &mr); err != nil {
+	var mr *MapResponse
+	if strings.HasPrefix(resp.Header.Get("Content-Type"), MapMediaType) {
+		mr, err = decodeMapResponse(payload)
+	} else {
+		mr = new(MapResponse)
+		err = json.Unmarshal(payload, mr)
+	}
+	if err != nil {
 		b.onFailure()
 		settle(resp.StatusCode)
 		return nil, fmt.Errorf("client: decoding response from %s: %w", c.cfg.Addrs[addrIdx], err)
@@ -580,6 +643,36 @@ func (c *Client) do(ctx context.Context, rt *chortle.ReqTrace, spanName string, 
 		mr.TraceID = resp.Header.Get("X-Trace-Id")
 	}
 	settle(resp.StatusCode)
+	return mr, nil
+}
+
+// readBody reads r to the end into one buffer, presized from the
+// declared length n up to bodyHint. It reads one byte past limit, so
+// that a longer body is refused with errResponseTooLarge, not cut short.
+func readBody(r io.Reader, n, limit int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if n > 0 {
+		buf.Grow(int(min(n, bodyHint)) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(io.LimitReader(r, limit+1))
+	if err == nil && int64(buf.Len()) > limit {
+		err = errResponseTooLarge
+	}
+	return buf.Bytes(), err
+}
+
+// decodeMapResponse decodes a MapMediaType body: the metadata JSON up to
+// the first newline, and everything after it as the BLIF.
+func decodeMapResponse(body []byte) (*MapResponse, error) {
+	nl := bytes.IndexByte(body, '\n')
+	if nl < 0 {
+		return nil, errors.New("framed response has no metadata line")
+	}
+	var mr MapResponse
+	if err := json.Unmarshal(body[:nl], &mr); err != nil {
+		return nil, err
+	}
+	mr.BLIF = string(body[nl+1:])
 	return &mr, nil
 }
 

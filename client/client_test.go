@@ -4,8 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -37,12 +41,33 @@ func fastClient(t *testing.T, cfg Config) (*Client, *[]time.Duration, *time.Time
 	return c, &slept, &now
 }
 
+// readMapRequest reads a request the way chortled does: the options
+// from the query string and the BLIF as the raw body.
+func readMapRequest(t *testing.T, r *http.Request) MapRequest {
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		t.Errorf("server read: %v", err)
+	}
+	q := r.URL.Query()
+	num := func(name string) int64 {
+		if q.Get(name) == "" {
+			return 0
+		}
+		n, err := strconv.ParseInt(q.Get(name), 10, 64)
+		if err != nil {
+			t.Errorf("server decode %s: %v", name, err)
+		}
+		return n
+	}
+	return MapRequest{
+		BLIF: string(body), K: int(num("k")), Engine: q.Get("engine"),
+		BudgetWorkUnits: num("budget_work_units"), DeadlineMS: num("deadline_ms"),
+	}
+}
+
 func okHandler(t *testing.T) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		var req MapRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			t.Errorf("server decode: %v", err)
-		}
+		req := readMapRequest(t, r)
 		_ = json.NewEncoder(w).Encode(MapResponse{Circuit: "c", K: req.K, LUTs: 3, BLIF: "mapped:" + req.BLIF})
 	}
 }
@@ -256,9 +281,7 @@ func TestContextCancellationStopsRetries(t *testing.T) {
 func TestDeadlineDerivedFromContext(t *testing.T) {
 	var got atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var req MapRequest
-		_ = json.NewDecoder(r.Body).Decode(&req)
-		got.Store(req.DeadlineMS)
+		got.Store(readMapRequest(t, r).DeadlineMS)
 		_ = json.NewEncoder(w).Encode(MapResponse{BLIF: "ok"})
 	}))
 	defer ts.Close()
@@ -305,4 +328,152 @@ func TestMetricsRegistered(t *testing.T) {
 			t.Fatalf("metrics missing %q in:\n%s", want, text)
 		}
 	}
+}
+
+// TestMapSendsRawBLIF pins the request's wire form: the BLIF is the
+// body verbatim, every option rides in the query string, and the
+// Accept header names the framed type ahead of JSON.
+func TestMapSendsRawBLIF(t *testing.T) {
+	const blif = ".model m\n.inputs a \"b\n.outputs y\n.names a y\n1 1\n.end\n"
+	var got MapRequest
+	var accept, ctype, query string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		got = readMapRequest(t, r)
+		accept, ctype, query = r.Header.Get("Accept"), r.Header.Get("Content-Type"), r.URL.RawQuery
+		_ = json.NewEncoder(w).Encode(MapResponse{BLIF: "ok"})
+	}))
+	defer ts.Close()
+	c, _, _ := fastClient(t, Config{Addrs: []string{ts.URL}})
+	want := MapRequest{BLIF: blif, K: 5, Engine: "cut", BudgetWorkUnits: 123, DeadlineMS: 4567}
+	if _, err := c.Map(context.Background(), want); err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("server read %+v, want %+v", got, want)
+	}
+	if query != "budget_work_units=123&deadline_ms=4567&engine=cut&k=5" {
+		t.Errorf("query %q", query)
+	}
+	if accept != MapMediaType+", application/json" || ctype != "text/plain" {
+		t.Errorf("Accept %q, Content-Type %q", accept, ctype)
+	}
+	if _, err := c.Map(context.Background(), MapRequest{BLIF: blif}); err != nil {
+		t.Fatal(err)
+	}
+	if query != "" {
+		t.Errorf("default options sent query %q, want none", query)
+	}
+}
+
+// framedBody is a MapMediaType body as chortled writes it.
+const framedBody = `{"circuit":"c","k":4,"engine":"tree","luts":1,"trees":1,"cache_hits":0,"cache_misses":1,"elapsed_ns":7,"trace_id":"0123456789abcdef0123456789abcdef"}` +
+	"\n.model c\n.inputs a b\n.outputs y\n.names a b y\n11 1\n.end\n"
+
+// TestMapFramedResponse decodes a framed success by its Content-Type
+// and still reads a JSON success from a server that answers only JSON.
+func TestMapFramedResponse(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", MapMediaType)
+		_, _ = io.WriteString(w, framedBody)
+	}))
+	defer ts.Close()
+	c, _, _ := fastClient(t, Config{Addrs: []string{ts.URL}})
+	res, err := c.Map(context.Background(), MapRequest{BLIF: "n", K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := MapResponse{
+		Circuit: "c", K: 4, Engine: "tree", LUTs: 1, Trees: 1, CacheMisses: 1, ElapsedNS: 7,
+		BLIF:    framedBody[strings.IndexByte(framedBody, '\n')+1:],
+		TraceID: "0123456789abcdef0123456789abcdef", Addr: ts.URL,
+	}
+	if !reflect.DeepEqual(*res, want) {
+		t.Fatalf("decoded %+v, want %+v", *res, want)
+	}
+
+	jsonOnly := httptest.NewServer(okHandler(t))
+	defer jsonOnly.Close()
+	c, _, _ = fastClient(t, Config{Addrs: []string{jsonOnly.URL}})
+	if res, err = c.Map(context.Background(), MapRequest{BLIF: "n", K: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if res.BLIF != "mapped:n" || res.K != 4 {
+		t.Fatalf("JSON answer decoded as %+v", res)
+	}
+}
+
+// TestOversizeResponseRefused shrinks the body limit through the test
+// seam: a body one byte over it fails at once, whether its length is
+// declared or chunked, and is not retried; a body at the limit maps.
+func TestOversizeResponseRefused(t *testing.T) {
+	const limit = 64
+	atLimit := `{"blif":"` + strings.Repeat("x", limit-11) + `"}`
+	for _, tc := range []struct {
+		name, body string
+		chunked    bool
+		wantErr    bool
+	}{
+		{"declared, at limit", atLimit, false, false},
+		{"chunked, at limit", atLimit, true, false},
+		{"declared, over limit", atLimit + " ", false, true},
+		{"chunked, over limit", atLimit + " ", true, true},
+	} {
+		var calls atomic.Int64
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			calls.Add(1)
+			if tc.chunked {
+				w.(http.Flusher).Flush()
+			}
+			_, _ = io.WriteString(w, tc.body)
+		}))
+		c, slept, _ := fastClient(t, Config{Addrs: []string{ts.URL}})
+		c.maxBody = limit
+		res, err := c.Map(context.Background(), MapRequest{BLIF: "n"})
+		ts.Close()
+		switch {
+		case !tc.wantErr && (err != nil || len(res.BLIF) != limit-11):
+			t.Errorf("%s: res %+v, err %v; want the %d-byte BLIF", tc.name, res, err, limit-11)
+		case tc.wantErr && !errors.Is(err, errResponseTooLarge):
+			t.Errorf("%s: err %v, want errResponseTooLarge", tc.name, err)
+		case calls.Load() != 1 || len(*slept) != 0:
+			t.Errorf("%s: %d calls, %d backoffs; want one call, no retry", tc.name, calls.Load(), len(*slept))
+		}
+	}
+}
+
+// TestReadBodyBoundsDeclaredLength reads a 100-byte body declared as
+// the largest allowed: the read may allocate bodyHint up front, not the
+// declared length.
+func TestReadBodyBoundsDeclaredLength(t *testing.T) {
+	body := strings.Repeat("x", 100)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := readBody(strings.NewReader(body), maxResponseBody, maxResponseBody)
+	runtime.ReadMemStats(&after)
+	if err != nil || string(got) != body {
+		t.Fatalf("readBody: %q, %v", got, err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("a 100-byte body declared as %d bytes allocated %d bytes", maxResponseBody, grew)
+	}
+}
+
+// FuzzDecodeMapResponse feeds the framed decoder arbitrary bodies. It
+// must not panic, and whatever it accepts must carry exactly the bytes
+// after the first newline as its BLIF.
+func FuzzDecodeMapResponse(f *testing.F) {
+	f.Add([]byte(framedBody))
+	f.Add([]byte(`{"circuit":"c","luts":1}`))
+	f.Add([]byte("{\"circuit\":\n.model c\n.end\n"))
+	f.Add([]byte(`{"circuit":"c","blif":"x"}` + "\n"))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		res, err := decodeMapResponse(body)
+		if err != nil {
+			return
+		}
+		nl := strings.IndexByte(string(body), '\n')
+		if nl < 0 || res.BLIF != string(body[nl+1:]) {
+			t.Fatalf("accepted %q with BLIF %q", body, res.BLIF)
+		}
+	})
 }

@@ -16,6 +16,8 @@
 //	POST /map      raw BLIF body (?k=4&budget_work_units=N&deadline_ms=N)
 //	               or JSON {"blif","k","budget_work_units","deadline_ms"};
 //	               responds with the mapped circuit and cache statistics
+//	               as JSON, or with Accept: application/vnd.chortle.map
+//	               as a JSON metadata line followed by the BLIF verbatim
 //	GET  /healthz  liveness; 503 once draining
 //	GET  /stats    shared-cache statistics plus a per-engine request
 //	               breakdown (outcome classes, solve p50/p95) as JSON

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"chortle"
+	"chortle/client"
 )
 
 // The mapping server's HTTP surface, separated from main's wiring so
@@ -34,6 +36,12 @@ import (
 // fields override query parameters. engine selects the mapping
 // algorithm per request — tree (default), mis, or cut — so one fleet
 // serves all three; an unknown engine is a 400.
+//
+// A success answers JSON with the mapped BLIF in its "blif" field,
+// unless the request's Accept header names client.MapMediaType. Then
+// the body is that type: the same JSON object without "blif" on one
+// line, a newline, and the mapped BLIF verbatim, so neither side escapes
+// or unescapes the netlist. Errors and refusals are always JSON.
 //
 // Admission is layered so every refusal is cheap and honest:
 //
@@ -332,7 +340,8 @@ type mapRequest struct {
 	DeadlineMS      int64  `json:"deadline_ms"`
 }
 
-// mapResponse is the JSON success body.
+// mapResponse is the JSON success body, and without BLIF the metadata
+// line of a client.MapMediaType body.
 type mapResponse struct {
 	Circuit     string   `json:"circuit"`
 	K           int      `json:"k"`
@@ -343,7 +352,7 @@ type mapResponse struct {
 	CacheHits   int      `json:"cache_hits"`
 	CacheMisses int      `json:"cache_misses"`
 	ElapsedNS   int64    `json:"elapsed_ns"`
-	BLIF        string   `json:"blif"`
+	BLIF        string   `json:"blif,omitempty"`
 	TraceID     string   `json:"trace_id,omitempty"`
 }
 
@@ -380,20 +389,35 @@ func writeRefusal(w http.ResponseWriter, code int, retryAfter time.Duration, msg
 	writeJSON(w, code, errResponse{msg})
 }
 
+// maxRequestBody bounds a /map request body. bodyHint bounds how much
+// of a declared Content-Length is allocated before the bytes arrive: a
+// request that declares a large body and sends none holds at most that,
+// a few times what its connection's own buffers cost. A longer body
+// grows the buffer as it arrives.
+const (
+	maxRequestBody = 64 << 20
+	bodyHint       = 64 << 10
+)
+
 // parseMapRequest assembles the request from query parameters and body.
+// The parameters are checked in a fixed order, so a query with several
+// bad ones is always refused for the same one.
 func parseMapRequest(r *http.Request, defaultK int) (*mapRequest, error) {
 	req := &mapRequest{K: defaultK}
 	q := r.URL.Query()
-	for name, dst := range map[string]*int64{
-		"budget_work_units": &req.BudgetWorkUnits,
-		"deadline_ms":       &req.DeadlineMS,
+	for _, p := range [...]struct {
+		name string
+		dst  *int64
+	}{
+		{"budget_work_units", &req.BudgetWorkUnits},
+		{"deadline_ms", &req.DeadlineMS},
 	} {
-		if v := q.Get(name); v != "" {
+		if v := q.Get(p.name); v != "" {
 			n, err := strconv.ParseInt(v, 10, 64)
 			if err != nil {
-				return nil, fmt.Errorf("bad %s %q", name, v)
+				return nil, fmt.Errorf("bad %s %q", p.name, v)
 			}
-			*dst = n
+			*p.dst = n
 		}
 	}
 	if v := q.Get("k"); v != "" {
@@ -404,10 +428,14 @@ func parseMapRequest(r *http.Request, defaultK int) (*mapRequest, error) {
 		req.K = n
 	}
 	req.Engine = q.Get("engine")
-	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, 64<<20))
-	if err != nil {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 {
+		buf.Grow(int(min(n, bodyHint)) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(nil, r.Body, maxRequestBody)); err != nil {
 		return nil, fmt.Errorf("reading body: %v", err)
 	}
+	body := buf.Bytes()
 	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
 		var jr mapRequest
 		if err := json.Unmarshal(body, &jr); err != nil {
@@ -711,17 +739,7 @@ func (s *mapServer) handleMap(m *serverMetrics) http.HandlerFunc {
 		st.setStage(stageWriting)
 		writeSpan := rt.Start("write")
 		writeStart := time.Now()
-		var blif strings.Builder
-		if err := res.Circuit.WriteBLIF(&blif); err != nil {
-			writeSpan.End()
-			m.panics.Inc()
-			st.noteErr(err.Error())
-			writeJSON(w, http.StatusInternalServerError, errResponse{err.Error()})
-			return
-		}
-		m.ok.Inc()
-		m.duration.ObserveWithExemplar(elapsed, traceIDString(rt))
-		writeJSON(w, http.StatusOK, mapResponse{
+		mr := mapResponse{
 			Circuit:     nw.Name,
 			K:           req.K,
 			Engine:      eng.String(),
@@ -731,9 +749,34 @@ func (s *mapServer) handleMap(m *serverMetrics) http.HandlerFunc {
 			CacheHits:   res.CacheHits,
 			CacheMisses: res.CacheMisses,
 			ElapsedNS:   elapsed.Nanoseconds(),
-			BLIF:        blif.String(),
 			TraceID:     traceIDString(rt),
-		})
+		}
+		framed := strings.Contains(r.Header.Get("Accept"), client.MapMediaType)
+		var out strings.Builder
+		if framed {
+			// The metadata line: Encode escapes every newline inside the
+			// object and ends it with one, so that newline ends the line.
+			_ = json.NewEncoder(&out).Encode(mr)
+		}
+		if err := res.Circuit.WriteBLIF(&out); err != nil {
+			writeSpan.End()
+			m.panics.Inc()
+			st.noteErr(err.Error())
+			writeJSON(w, http.StatusInternalServerError, errResponse{err.Error()})
+			return
+		}
+		m.ok.Inc()
+		m.duration.ObserveWithExemplar(elapsed, traceIDString(rt))
+		if framed {
+			h := w.Header()
+			h.Set("Content-Type", client.MapMediaType)
+			h.Set("Content-Length", strconv.Itoa(out.Len()))
+			w.WriteHeader(http.StatusOK)
+			_, _ = io.WriteString(w, out.String())
+		} else {
+			mr.BLIF = out.String()
+			writeJSON(w, http.StatusOK, mr)
+		}
 		writeSpan.End()
 		st.noteTimings(0, 0, time.Since(writeStart))
 	}

@@ -9,12 +9,16 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
+	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"chortle"
+	"chortle/client"
 	"chortle/internal/bench"
 )
 
@@ -206,6 +210,94 @@ func TestServerEngineSelection(t *testing.T) {
 	}
 }
 
+// TestFramedMatchesJSON maps every bundled circuit at K=4 on the tree
+// and cut engines three ways from one warm cache: a plain JSON request,
+// client.Map (which asks for the framed body), and client.Map against a
+// server that answers only JSON. All three must agree on the BLIF, the
+// LUT count and the cache hits, and the JSON reply keeps its fields.
+func TestFramedMatchesJSON(t *testing.T) {
+	s, m := newMapServer(serverConfig{
+		cache:       chortle.NewSharedCache(chortle.SharedCacheConfig{}),
+		reg:         chortle.NewMetricsRegistry(),
+		maxInflight: 2,
+		maxQueue:    4,
+	})
+	h := s.handler(m)
+	var framed atomic.Int64
+	direct := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		if w.Header().Get("Content-Type") == client.MapMediaType {
+			framed.Add(1)
+		}
+	}))
+	defer direct.Close()
+	jsonOnly := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		r.Header.Del("Accept")
+		h.ServeHTTP(w, r)
+	}))
+	defer jsonOnly.Close()
+	newClient := func(addr string) *client.Client {
+		c, err := client.New(client.Config{Addrs: []string{addr}, MaxRetries: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	viaFramed, viaJSON := newClient(direct.URL), newClient(jsonOnly.URL)
+
+	calls := 0
+	for _, c := range append(bench.Suite(), bench.ExtendedSuite()...) {
+		blif := benchBLIF(t, c)
+		for _, eng := range []string{"tree", "cut"} {
+			name := c.Name + "/" + eng
+			url := direct.URL + "/map?k=4&engine=" + eng
+			postMap(t, url, blif, "text/plain") // warms the cache
+			resp, err := http.Post(url, "text/plain", strings.NewReader(blif))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
+				t.Fatalf("%s: JSON reply HTTP %d %q (%v)", name, resp.StatusCode, resp.Header.Get("Content-Type"), err)
+			}
+			var fields map[string]json.RawMessage
+			var ref mapResponse
+			if err := json.Unmarshal(raw, &fields); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(raw, &ref); err != nil {
+				t.Fatal(err)
+			}
+			keys := make([]string, 0, len(fields))
+			for k := range fields {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			if got := strings.Join(keys, ","); got != "blif,cache_hits,cache_misses,circuit,elapsed_ns,engine,k,luts,trace_id,trees" {
+				t.Errorf("%s: JSON reply fields %s", name, got)
+			}
+			for _, via := range []*client.Client{viaFramed, viaJSON} {
+				res, err := via.Map(context.Background(), client.MapRequest{BLIF: blif, K: 4, Engine: eng})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if res.BLIF != ref.BLIF || res.LUTs != ref.LUTs || res.CacheHits != ref.CacheHits ||
+					res.CacheMisses != ref.CacheMisses || res.Circuit != ref.Circuit || res.Engine != eng ||
+					res.K != 4 || res.Trees != ref.Trees {
+					t.Errorf("%s via %s: %d LUTs, %d/%d hits/misses, circuit %q; JSON reply %d, %d/%d, %q; same BLIF %v",
+						name, res.Addr, res.LUTs, res.CacheHits, res.CacheMisses, res.Circuit,
+						ref.LUTs, ref.CacheHits, ref.CacheMisses, ref.Circuit, res.BLIF == ref.BLIF)
+				}
+			}
+			calls++
+		}
+	}
+	if framed.Load() != int64(calls) {
+		t.Errorf("%d of %d client maps answered framed", framed.Load(), calls)
+	}
+}
+
 func TestServerRejectsBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, serverConfig{maxInflight: 1, maxQueue: 1})
 	cases := []struct {
@@ -236,13 +328,15 @@ func TestServerRejectsBadRequests(t *testing.T) {
 }
 
 // badParamCases are query strings the admission check must refuse
-// before a request takes a queue slot or parses its BLIF.
-var badParamCases = []struct{ name, query string }{
-	{"deadline overflows time.Duration", "deadline_ms=9223372036855"},
-	{"negative deadline", "deadline_ms=-5"},
-	{"k out of range", "k=99"},
-	{"negative budget", "budget_work_units=-1"},
-	{"unknown engine", "engine=bogus"},
+// before a request takes a queue slot or parses its BLIF, with the
+// exact message of the refusal.
+var badParamCases = []struct{ name, query, msg string }{
+	{"deadline overflows time.Duration", "deadline_ms=9223372036855", "deadline_ms 9223372036855 out of range [0,9223372036854]"},
+	{"negative deadline", "deadline_ms=-5", "deadline_ms -5 out of range [0,9223372036854]"},
+	{"k out of range", "k=99", "core: K=99 out of range [2,6]: K out of range"},
+	{"negative budget", "budget_work_units=-1", "core: negative work-unit budget -1"},
+	{"unknown engine", "engine=bogus", `core: unknown engine "bogus" (want tree, mis or cut)`},
+	{"two bad numbers", "budget_work_units=x&deadline_ms=y", `bad budget_work_units "x"`},
 }
 
 // TestServerRefusesBadParamsBeforeSlot holds the only slot with no
@@ -257,9 +351,15 @@ func TestServerRefusesBadParamsBeforeSlot(t *testing.T) {
 	defer release()
 	blif := benchBLIF(t, bench.Suite()[0])
 	for _, c := range badParamCases {
-		resp, _ := postMap(t, ts.URL+"/map?"+c.query, blif, "text/plain")
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s (%s): HTTP %d, want 400", c.name, c.query, resp.StatusCode)
+		resp, err := http.Post(ts.URL+"/map?"+c.query, "text/plain", strings.NewReader(blif))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb errResponse
+		err = json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || err != nil || eb.Error != c.msg {
+			t.Errorf("%s (%s): HTTP %d %q (%v), want 400 %q", c.name, c.query, resp.StatusCode, eb.Error, err, c.msg)
 		}
 	}
 	mt := metricsText(t, s.cfg.reg)
@@ -271,6 +371,25 @@ func TestServerRefusesBadParamsBeforeSlot(t *testing.T) {
 		if !strings.Contains(mt, want) {
 			t.Errorf("metrics missing %q:\n%s", want, mt)
 		}
+	}
+}
+
+// TestParseMapRequestBoundsDeclaredLength declares the largest body
+// allowed and sends 100 bytes: parsing may allocate bodyHint up front,
+// not the declared length.
+func TestParseMapRequestBoundsDeclaredLength(t *testing.T) {
+	body := strings.Repeat("x", 100)
+	r := httptest.NewRequest(http.MethodPost, "/map?k=4", strings.NewReader(body))
+	r.ContentLength = maxRequestBody
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	req, err := parseMapRequest(r, 4)
+	runtime.ReadMemStats(&after)
+	if err != nil || req.BLIF != body {
+		t.Fatalf("parseMapRequest: %+v, %v", req, err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("a 100-byte body declared as %d bytes allocated %d bytes", maxRequestBody, grew)
 	}
 }
 

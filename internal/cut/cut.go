@@ -184,16 +184,25 @@ type mapper struct {
 	refCnt   []int
 	// Emission scratch by node ID: stamp[id] == gen marks a node as
 	// visited by the current cone walk or table pass, tabs[id] holds its
-	// table; coneBuf is reused for every LUT's cone.
-	stamp   []uint32
-	gen     uint32
-	tabs    []truth.Table
-	coneBuf []*network.Node
+	// table; coneBuf and the walk's coneStack are reused for every LUT's
+	// cone.
+	stamp     []uint32
+	gen       uint32
+	tabs      []truth.Table
+	coneBuf   []*network.Node
+	coneStack []coneFrame
 	// Enumeration tallies for the run-summary events: candidates removed
 	// by dominance pruning and non-dominated cuts evicted beyond the
 	// priority bound.
 	dominated int
 	evicted   int64
+}
+
+// coneFrame is one gate on walkCone's stack and the index of the next
+// fanin it visits.
+type coneFrame struct {
+	n    *network.Node
+	next int
 }
 
 // Map runs the priority-cut mapper on the network. The input is not

@@ -5,9 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime/debug"
+	"strconv"
 	"strings"
 	"testing"
 
+	"chortle/internal/blif"
 	"chortle/internal/cerrs"
 	"chortle/internal/network"
 	"chortle/internal/verify"
@@ -279,5 +282,43 @@ func TestReconvergenceBeatsTrees(t *testing.T) {
 	// better than one LUT per level triple.
 	if res.LUTs > 12 {
 		t.Errorf("ladder(12) at K=5: %d LUTs, want <= 12", res.LUTs)
+	}
+}
+
+// TestDeepChainCone maps a 50,000-gate chain x_i = x_(i-1)·b read from
+// BLIF under a 1 MiB goroutine stack. Every gate has the cut {a, b}, so
+// the output's best cut has the whole chain as its cone: emission must
+// walk it without recursing once per gate, or the stack overflows,
+// which no recover catches.
+func TestDeepChainCone(t *testing.T) {
+	defer debug.SetMaxStack(debug.SetMaxStack(1 << 20))
+	const depth = 50000
+	var sb strings.Builder
+	sb.WriteString(".model chain\n.inputs a b\n.outputs y\n")
+	prev := "a"
+	for i := 1; i <= depth; i++ {
+		out := "y"
+		if i < depth {
+			out = "x" + strconv.Itoa(i)
+		}
+		fmt.Fprintf(&sb, ".names %s b %s\n11 1\n", prev, out)
+		prev = out
+	}
+	sb.WriteString(".end\n")
+	nw, err := blif.ReadString(sb.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Map(nw, DefaultOptions(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := res.Circuit.WriteBLIF(&out); err != nil {
+		t.Fatal(err)
+	}
+	const want = ".model chain\n.inputs a b\n.outputs y\n.names a b y$50000\n11 1\n.names y$50000 y\n1 1\n.end\n"
+	if res.LUTs != 1 || out.String() != want {
+		t.Fatalf("chain maps to %d LUTs:\n%s\nwant 1 LUT:\n%s", res.LUTs, out.String(), want)
 	}
 }

@@ -94,7 +94,7 @@ func (m *mapper) cone(v *network.Node, c *cutSet) ([]*network.Node, error) {
 		m.stamp[l] = m.gen
 	}
 	m.coneBuf = m.coneBuf[:0]
-	if err := m.walkCone(v, v); err != nil {
+	if err := m.walkCone(v); err != nil {
 		return nil, err
 	}
 	if len(m.coneBuf) == 0 {
@@ -103,9 +103,34 @@ func (m *mapper) cone(v *network.Node, c *cutSet) ([]*network.Node, error) {
 	return m.coneBuf, nil
 }
 
-// walkCone appends the not-yet-stamped gates under n to coneBuf in
-// post-order; leaves arrive pre-stamped and stop the walk.
-func (m *mapper) walkCone(root, n *network.Node) error {
+// walkCone appends the not-yet-stamped gates under root to coneBuf in
+// post-order; leaves arrive pre-stamped and stop the walk. It keeps an
+// explicit stack of (gate, next fanin) frames rather than recursing, so
+// a cone as deep as a long chain cannot overflow the goroutine stack.
+func (m *mapper) walkCone(root *network.Node) error {
+	m.coneStack = m.coneStack[:0]
+	if err := m.enterCone(root, root); err != nil {
+		return err
+	}
+	for len(m.coneStack) > 0 {
+		top := &m.coneStack[len(m.coneStack)-1]
+		if top.next < len(top.n.Fanins) {
+			f := top.n.Fanins[top.next].Node
+			top.next++
+			if err := m.enterCone(root, f); err != nil {
+				return err
+			}
+			continue
+		}
+		m.coneBuf = append(m.coneBuf, top.n)
+		m.coneStack = m.coneStack[:len(m.coneStack)-1]
+	}
+	return nil
+}
+
+// enterCone stamps n and pushes its frame unless it is already stamped.
+// Reaching a primary input means the leaves are not a cut of root.
+func (m *mapper) enterCone(root, n *network.Node) error {
 	if m.stamp[n.ID] == m.gen {
 		return nil
 	}
@@ -113,12 +138,7 @@ func (m *mapper) walkCone(root, n *network.Node) error {
 		return fmt.Errorf("cut: internal: leaves of %q miss input %q", root.Name, n.Name)
 	}
 	m.stamp[n.ID] = m.gen
-	for _, f := range n.Fanins {
-		if err := m.walkCone(root, f.Node); err != nil {
-			return err
-		}
-	}
-	m.coneBuf = append(m.coneBuf, n)
+	m.coneStack = append(m.coneStack, coneFrame{n: n})
 	return nil
 }
 

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # End-to-end smoke for cmd/chortled: start the server, map a golden
 # circuit twice through it, assert the second response reports shared-
-# cache hits, check the hit shows up at /metrics, and verify SIGTERM
-# drains gracefully (exit 0).
+# cache hits, check that the framed reply (Accept:
+# application/vnd.chortle.map) carries the same answer as the JSON one,
+# check the hit shows up at /metrics, and verify SIGTERM drains
+# gracefully (exit 0).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -55,6 +57,26 @@ echo "cold: $cold_luts LUTs; warm: hits=$warm_hits misses=$warm_misses"
 diff <(printf '%s' "$cold" | python3 -c 'import json,sys; print(json.load(sys.stdin)["blif"])') \
      <(printf '%s' "$warm" | python3 -c 'import json,sys; print(json.load(sys.stdin)["blif"])') \
     || { echo "warm BLIF differs from cold BLIF"; exit 1; }
+
+# The framed reply to the same warm request: a metadata line of JSON,
+# then the BLIF verbatim. Its BLIF, luts and cache_hits must match the
+# JSON reply's.
+curl -sf -D "$workdir/framed.hdr" -o "$workdir/framed.out" \
+    -H 'Accept: application/vnd.chortle.map' \
+    --data-binary @"$workdir/rot.blif" "http://$addr/map?k=4"
+grep -qi '^content-type: application/vnd.chortle.map' "$workdir/framed.hdr" \
+    || { echo "framed request was not answered framed"; cat "$workdir/framed.hdr"; exit 1; }
+printf '%s' "$warm" > "$workdir/warm.json"
+python3 - "$workdir/warm.json" "$workdir/framed.out" <<'PY' || { echo "framed reply differs from JSON reply"; exit 1; }
+import json, sys
+ref = json.load(open(sys.argv[1]))
+meta, blif = open(sys.argv[2]).read().split("\n", 1)
+meta = json.loads(meta)
+bad = [k for k in ("luts", "cache_hits") if meta[k] != ref[k]]
+if "blif" in meta or blif != ref["blif"] or bad:
+    sys.exit("framed: blif in metadata %s, same BLIF %s, differing %s" % ("blif" in meta, blif == ref["blif"], bad))
+print("framed: %d LUTs, hits=%d, %d BLIF bytes match the JSON reply" % (meta["luts"], meta["cache_hits"], len(blif)))
+PY
 
 # Buffer the scrape before grepping: grep -q on a pipe would SIGPIPE
 # curl and trip pipefail even on a match.
