@@ -59,7 +59,8 @@ import (
 //     the heap drops below ~80% of the watermark.
 //   - Panic isolation: a panicking request — injected fault, bad
 //     input, or mapper bug — becomes a 500 plus an incident log with a
-//     stack trace, never a dead server.
+//     stack trace, never a dead server. So does a mapper bug that
+//     MapCtx reports as a *chortle.InternalError.
 
 // serverConfig bounds one mapServer.
 type serverConfig struct {
@@ -714,23 +715,7 @@ func (s *mapServer) handleMap(m *serverMetrics) http.HandlerFunc {
 		st.noteTimings(0, elapsed, 0)
 		s.cfg.slo.ObserveSolve(elapsed)
 		if err != nil {
-			switch {
-			case errors.Is(err, context.Canceled):
-				// Client disconnected mid-map; nobody is listening.
-				return
-			case errors.Is(err, context.DeadlineExceeded):
-				m.serverErr.Inc()
-				st.noteErr("deadline exceeded")
-				s.recordDecision(st, chortle.OverloadDecision{
-					Code: http.StatusServiceUnavailable, Reason: chortle.ReasonDeadlineExpired,
-					Engine: eng.String(), Detail: "deadline exceeded mid-solve",
-				})
-				writeRefusal(w, http.StatusServiceUnavailable, time.Second, "deadline exceeded")
-			default:
-				m.clientErr.Inc()
-				st.noteErr(err.Error())
-				writeJSON(w, http.StatusBadRequest, errResponse{err.Error()})
-			}
+			s.answerMapErr(w, r, m, st, eng, err)
 			return
 		}
 		s.solveTimes[eng].observe(elapsed)
@@ -779,6 +764,42 @@ func (s *mapServer) handleMap(m *serverMetrics) http.HandlerFunc {
 		}
 		writeSpan.End()
 		st.noteTimings(0, 0, time.Since(writeStart))
+	}
+}
+
+// answerMapErr answers a request whose map failed. A cancelled map has
+// nobody to answer. An expired deadline is a 503 refusal. An
+// *InternalError is a bug in the mapper, not a problem with the input,
+// so it is answered the way withPanicIsolation answers a handler panic:
+// a 500, an INCIDENT log line with the stack the error carries, and a
+// panic decision. Anything else is the input's fault, a 400.
+func (s *mapServer) answerMapErr(w http.ResponseWriter, r *http.Request, m *serverMetrics, st *requestState, eng chortle.Engine, err error) {
+	var ie *chortle.InternalError
+	switch {
+	case errors.Is(err, context.Canceled):
+		// The client disconnected mid-map; nobody is listening.
+	case errors.Is(err, context.DeadlineExceeded):
+		m.serverErr.Inc()
+		st.noteErr("deadline exceeded")
+		s.recordDecision(st, chortle.OverloadDecision{
+			Code: http.StatusServiceUnavailable, Reason: chortle.ReasonDeadlineExpired,
+			Engine: eng.String(), Detail: "deadline exceeded mid-solve",
+		})
+		writeRefusal(w, http.StatusServiceUnavailable, time.Second, "deadline exceeded")
+	case errors.As(err, &ie):
+		m.panics.Inc()
+		st.noteErr(err.Error())
+		s.cfg.logf("chortled: INCIDENT: internal error serving %s %s: %v\n%s",
+			r.Method, r.URL.Path, ie.Value, ie.Stack)
+		s.recordDecision(st, chortle.OverloadDecision{
+			Code: http.StatusInternalServerError, Reason: chortle.ReasonPanic,
+			Engine: eng.String(), Detail: fmt.Sprint(ie.Value),
+		})
+		writeJSON(w, http.StatusInternalServerError, errResponse{fmt.Sprintf("internal error: %v", ie.Value)})
+	default:
+		m.clientErr.Inc()
+		st.noteErr(err.Error())
+		writeJSON(w, http.StatusBadRequest, errResponse{err.Error()})
 	}
 }
 

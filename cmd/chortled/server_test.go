@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -654,5 +655,85 @@ func TestServerBusy(t *testing.T) {
 	resp, _ := postMap(t, ts.URL+"/map?k=4", benchBLIF(t, bench.Suite()[0]), "text/plain")
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("saturated server answered HTTP %d, want 429", resp.StatusCode)
+	}
+}
+
+// TestMapErrorClassification pins how handleMap answers a failed map,
+// case by case: the status and body, which chortled_requests_total
+// code is bumped, the decision recorded, and whether an incident is
+// logged. A mapper bug (*chortle.InternalError) is a 500 with its stack
+// logged, exactly like a handler panic, not a 400 blaming the input.
+func TestMapErrorClassification(t *testing.T) {
+	internal := &chortle.InternalError{
+		Value: errors.New("cut: invariant broken"),
+		Stack: []byte("goroutine 7 [running]:\nchortle/internal/cut.broken()"),
+	}
+	cases := []struct {
+		name     string
+		err      error
+		code     int    // 0: nothing is written
+		body     string // the JSON error text
+		decision string
+		incident bool
+	}{
+		{"canceled", context.Canceled, 0, "", "", false},
+		{"deadline", fmt.Errorf("cut: %w", context.DeadlineExceeded), http.StatusServiceUnavailable, "deadline exceeded", chortle.ReasonDeadlineExpired, false},
+		{"internal", internal, http.StatusInternalServerError, "internal error: cut: invariant broken", chortle.ReasonPanic, true},
+		{"wrapped internal", fmt.Errorf("mapping: %w", internal), http.StatusInternalServerError, "internal error: cut: invariant broken", chortle.ReasonPanic, true},
+		{"input", fmt.Errorf("network: %w", chortle.ErrCycle), http.StatusBadRequest, "network: " + chortle.ErrCycle.Error(), "", false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			reg := chortle.NewMetricsRegistry()
+			rec := chortle.NewFlightRecorder(16, 0)
+			var log testLog
+			s, m := newMapServer(serverConfig{
+				reg: reg, cache: chortle.NewSharedCache(chortle.SharedCacheConfig{}),
+				recorder: rec, logf: log.logf,
+			})
+			st := &requestState{rt: chortle.NewReqTrace("chortled", "request", chortle.TraceID{}, chortle.SpanID{}, 8, 8)}
+			w := httptest.NewRecorder()
+			s.answerMapErr(w, httptest.NewRequest(http.MethodPost, "/map", nil), m, st, chortle.EngineCut, c.err)
+
+			if c.code == 0 {
+				if w.Body.Len() != 0 {
+					t.Errorf("wrote %q, want nothing", w.Body.String())
+				}
+			} else {
+				var body errResponse
+				if w.Code != c.code {
+					t.Errorf("HTTP %d, want %d", w.Code, c.code)
+				}
+				if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil || body.Error != c.body {
+					t.Errorf("body %q (%v), want error %q", w.Body.String(), err, c.body)
+				}
+			}
+			mt := metricsText(t, reg)
+			for _, code := range []int{400, 500, 503} {
+				want := 0
+				if code == c.code {
+					want = 1
+				}
+				if line := fmt.Sprintf("chortled_requests_total{code=\"%d\"} %d\n", code, want); !strings.Contains(mt, line) {
+					t.Errorf("metrics lack %q", line)
+				}
+			}
+			if st.decision != c.decision {
+				t.Errorf("decision %q, want %q", st.decision, c.decision)
+			}
+			var ringReasons []string
+			for _, e := range rec.Snapshot() {
+				if e.Kind == chortle.FlightDecision {
+					ringReasons = append(ringReasons, e.Decision.Reason)
+				}
+			}
+			if c.decision != "" && (len(ringReasons) != 1 || ringReasons[0] != c.decision) || c.decision == "" && len(ringReasons) != 0 {
+				t.Errorf("flight ring decisions %q, want %q", ringReasons, c.decision)
+			}
+			logged := log.String()
+			if got := strings.Contains(logged, "INCIDENT") && strings.Contains(logged, "chortle/internal/cut.broken()"); got != c.incident {
+				t.Errorf("incident with stack logged = %v, want %v; log:\n%s", got, c.incident, logged)
+			}
+		})
 	}
 }

@@ -17,7 +17,6 @@
 package cut
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math/bits"
@@ -173,8 +172,8 @@ type mapper struct {
 	order []*network.Node // topological, fanins first
 	data  []nodeData      // by node ID
 	// arena holds every priority list back to back, in enumeration
-	// order; cands and spare are the candidate buffers one gate's merge,
-	// prune and rank work in.
+	// order; cands and spare are the candidate buffers one gate's merge
+	// and prioritize work in.
 	arena, cands, spare []cutSet
 	// selected is the cover in topological order; required flags the
 	// gates the cover needs and refCnt tallies references, both by node
@@ -327,8 +326,8 @@ func (m *mapper) cutsOf(id int) []cutSet {
 // appending it to the (reset) arena. For a gate v with fanins a and b
 // the candidates are the pairwise unions of a's and b's cut lists (each
 // extended by its trivial cut {a} resp. {b}); candidates wider than K
-// are discarded, dominated candidates pruned, and the best cutsPerNode
-// kept.
+// are discarded, and prioritize reduces the rest to the best
+// cutsPerNode non-dominated cuts, written straight into the arena.
 func (m *mapper) enumerate(ctx context.Context) error {
 	bound := m.opts.cutsPerNode()
 	m.arena = m.arena[:0]
@@ -346,20 +345,16 @@ func (m *mapper) enumerate(ctx context.Context) error {
 		for _, f := range v.Fanins[1:] {
 			cands, spare = m.mergeLists(spare[:0], cands, f.Node), cands
 		}
-		before := len(cands)
-		cands = pruneDominated(cands)
-		m.dominated += before - len(cands)
-		m.rankCuts(cands)
-		if len(cands) > bound {
-			m.evicted += int64(len(cands) - bound)
-			cands = cands[:bound]
-		}
+		// Every gate keeps at most bound cuts and the arena was sized for
+		// that, so the list's slots are already allocated.
+		first := len(m.arena)
+		list, spare, dominated, evicted := m.prioritize(m.arena[first:first:first+bound], cands, spare)
+		m.dominated += dominated
+		m.evicted += int64(evicted)
+		m.arena = m.arena[:first+len(list)]
 		d := &m.data[v.ID]
-		d.first = int32(len(m.arena))
-		m.arena = append(m.arena, cands...)
-		d.end = int32(len(m.arena))
-		d.est = cands[0].flow
-		d.depth = cands[0].depth
+		d.first, d.end = int32(first), int32(len(m.arena))
+		d.est, d.depth = list[0].flow, list[0].depth
 		m.cands, m.spare = cands, spare
 	}
 	return nil
@@ -431,88 +426,155 @@ func mergeCuts(dst, a, b *cutSet, k int) bool {
 	return true
 }
 
-// pruneDominated removes, in place, duplicates and any cut whose leaves
-// are a superset of another candidate's — the dominated cut can never
-// beat the dominating one on area or feasibility.
-func pruneDominated(cands []cutSet) []cutSet {
-	out := cands[:0]
+// prioritize reduces one gate's candidates to its priority list. It
+// drops duplicates and every cut whose leaves are a superset of another
+// candidate's (the dominated cut can never beat the dominating one on
+// area or feasibility), scores the survivors, and keeps the cap(top)
+// best of them in top, best-first. buf is scratch, grown as needed and
+// returned. It also returns how many candidates were dominated and how
+// many survivors did not fit.
+//
+// The candidates are first laid out in buf by ascending leaf count (one
+// counting pass). A cut can only be dominated by a cut with fewer
+// leaves or by an identical one, so each candidate need only be checked
+// against the survivors before it, and no later candidate can dominate
+// a survivor. The survivors are exactly the distinct inclusion-minimal
+// leaf sets, whatever order the candidates arrive in.
+func (m *mapper) prioritize(top, cands, buf []cutSet) (list, scratch []cutSet, dominated, evicted int) {
+	var next [truth.MaxVars + 1]int // next[n]: buf slot of the next n-leaf cut
+	for i := range cands {
+		next[cands[i].n]++
+	}
+	sum := 0
+	for n, cnt := range next {
+		next[n] = sum
+		sum += cnt
+	}
+	buf = slices.Grow(buf[:0], len(cands))[:len(cands)]
 	for i := range cands {
 		c := &cands[i]
-		dominated := false
-		for x := range out {
-			if out[x].subsetOf(c) {
-				dominated = true
-				break
-			}
+		buf[next[c.n]] = *c
+		next[c.n]++
+	}
+
+	kept := buf[:0]
+	same, n := 0, int32(0) // kept[same:] have n leaves, kept[:same] fewer
+	for i := range buf {
+		c := &buf[i]
+		if c.n != n {
+			same, n = len(kept), c.n
 		}
-		if dominated {
+		if dominatedBy(kept[:same], c) || duplicateOf(kept[same:], c) {
+			dominated++
 			continue
 		}
-		// Evict previously kept cuts the new one dominates. Kept cuts sit
-		// below index i, so neither this nor the append overwrites c
-		// before it is copied.
-		w := 0
-		for x := range out {
-			if !c.subsetOf(&out[x]) {
-				out[w] = out[x]
-				w++
-			}
-		}
-		out = append(out[:w], *c)
-	}
-	return out
-}
-
-// rankCuts computes each candidate's area flow and depth from the
-// current leaf estimates and sorts best-first in place.
-func (m *mapper) rankCuts(cands []cutSet) {
-	for i := range cands {
-		c := &cands[i]
-		flow := 1.0
-		var depth int32
-		for _, l := range c.leafIDs() {
-			d := &m.data[l]
-			if m.nw.Nodes[l].IsInput() {
+		// len(kept) <= i, so this moves c down into the kept prefix.
+		kept = append(kept, *c)
+		c = &kept[len(kept)-1]
+		m.score(c)
+		if len(top) == cap(top) {
+			evicted++
+			if !better(c, &top[len(top)-1]) {
 				continue
 			}
-			flow += d.est / d.refs
-			if d.depth > depth {
-				depth = d.depth
-			}
+			top = top[:len(top)-1]
 		}
-		c.flow = flow
-		c.depth = depth + 1
+		top = insertCut(top, c)
 	}
-	slices.SortFunc(cands, compareCuts)
+	return top, buf, dominated, evicted
 }
 
-// compareCuts orders cuts best-first: lower area flow, then lower
-// depth, then fewer leaves, then lexicographically smaller leaf IDs.
-// The order is total on distinct leaf sets, so ranking is deterministic
-// whatever order the candidates arrive in.
-func compareCuts(a, b cutSet) int {
-	if c := cmp.Compare(a.flow, b.flow); c != 0 {
-		return c
+// dominatedBy reports whether one of kept, all smaller than c, has its
+// leaves among c's.
+func dominatedBy(kept []cutSet, c *cutSet) bool {
+	for x := range kept {
+		if kept[x].subsetOf(c) {
+			return true
+		}
 	}
-	if c := cmp.Compare(a.depth, b.depth); c != 0 {
-		return c
+	return false
+}
+
+// duplicateOf reports whether one of kept, all the size of c, has the
+// same leaves as c.
+func duplicateOf(kept []cutSet, c *cutSet) bool {
+	for x := range kept {
+		if kept[x].sig == c.sig && slices.Equal(kept[x].leafIDs(), c.leafIDs()) {
+			return true
+		}
 	}
-	if c := cmp.Compare(a.n, b.n); c != 0 {
-		return c
+	return false
+}
+
+// insertCut inserts c into the best-first list, which must have room
+// for one more cut.
+func insertCut(list []cutSet, c *cutSet) []cutSet {
+	j := len(list)
+	list = list[:j+1]
+	for ; j > 0 && better(c, &list[j-1]); j-- {
+		list[j] = list[j-1]
 	}
-	return slices.Compare(a.leafIDs(), b.leafIDs())
+	list[j] = *c
+	return list
+}
+
+// score computes c's area flow and depth from its leaves' current
+// estimates. An input leaf adds nothing: enumerate and rerank write
+// nodeData only for gates, so an input keeps est 0 and depth 0, and its
+// refs is at least 1 like every node's, so est/refs is exactly +0.
+func (m *mapper) score(c *cutSet) {
+	flow := 1.0
+	var depth int32
+	for _, l := range c.leafIDs() {
+		d := &m.data[l]
+		flow += d.est / d.refs
+		depth = max(depth, d.depth)
+	}
+	c.flow = flow
+	c.depth = depth + 1
+}
+
+// better reports whether a ranks strictly before b: lower area flow,
+// then lower depth, then fewer leaves, then lexicographically smaller
+// leaf IDs. The order is total on distinct leaf sets, so ranking is
+// deterministic whatever order the candidates arrive in. Flows are
+// never NaN (every refs is at least 1), so plain comparisons order them.
+func better(a, b *cutSet) bool {
+	if a.flow != b.flow {
+		return a.flow < b.flow
+	}
+	if a.depth != b.depth {
+		return a.depth < b.depth
+	}
+	if a.n != b.n {
+		return a.n < b.n
+	}
+	for i, l := range a.leafIDs() {
+		if l != b.leaves[i] {
+			return l < b.leaves[i]
+		}
+	}
+	return false
 }
 
 // rerank recomputes every priority list's ranking bottom-up under the
 // current reference counts (an area-recovery pass re-sorts the arena
-// ranges in place; it does not re-merge).
+// ranges in place; it does not re-merge). A range holds at most
+// cutsPerNode cuts and is mostly still in order, so it is
+// insertion-sorted.
 func (m *mapper) rerank() {
 	for _, v := range m.order {
 		if v.IsInput() {
 			continue
 		}
 		cuts := m.cutsOf(v.ID)
-		m.rankCuts(cuts)
+		for i := range cuts {
+			m.score(&cuts[i])
+			if i > 0 && better(&cuts[i], &cuts[i-1]) {
+				c := cuts[i]
+				insertCut(cuts[:i], &c)
+			}
+		}
 		d := &m.data[v.ID]
 		d.est = cuts[0].flow
 		d.depth = cuts[0].depth

@@ -322,3 +322,37 @@ func TestDeepChainCone(t *testing.T) {
 		t.Fatalf("chain maps to %d LUTs:\n%s\nwant 1 LUT:\n%s", res.LUTs, out.String(), want)
 	}
 }
+
+// TestBinarizeNameClash maps a model whose input is named like the gate
+// binarization would add: the reader names the three-input AND y$1, so
+// its first two-input gate would be y$1$b0, which the input already
+// holds. Binarization must pick a free name and the map must verify.
+func TestBinarizeNameClash(t *testing.T) {
+	const src = `.model clash
+.inputs a b c y$1$b0
+.outputs o1 o2
+.names a b c y
+111 1
+.names y o1
+1 1
+.names y$1$b0 a o2
+11 1
+.end
+`
+	for k := 2; k <= 6; k++ {
+		nw, err := blif.ReadString(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := DefaultOptions(k)
+		opts.Provenance = true
+		res, err := Map(nw, opts)
+		if err != nil {
+			t.Fatalf("K=%d: %v", k, err)
+		}
+		checkMapped(t, nw, res, k, fmt.Sprintf("K=%d", k))
+		if res.BinarizedGates != 1 || res.Prepared.Find("y$1$b0$1") == nil {
+			t.Errorf("K=%d: %d gates added, want one named y$1$b0$1", k, res.BinarizedGates)
+		}
+	}
+}

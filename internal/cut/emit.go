@@ -2,6 +2,7 @@ package cut
 
 import (
 	"fmt"
+	"strconv"
 
 	"chortle/internal/lut"
 	"chortle/internal/network"
@@ -17,8 +18,12 @@ import (
 // needs the bound — a fanin-F gate has no non-trivial K-feasible cut
 // for K < F — and the finer subject graph is what exposes reconvergent
 // sharing to the cut merger.
+//
+// The i-th added gate is named <gate>$b<i>, or, when an input or gate
+// already has that name, the first free <gate>$b<i>$<j> for j = 1, 2, ...
 func binarize(nw *network.Network) int {
 	added := 0
+	var name []byte
 	for _, n := range append([]*network.Node(nil), nw.Nodes...) {
 		if n.IsInput() || len(n.Fanins) <= 2 {
 			continue
@@ -27,7 +32,12 @@ func binarize(nw *network.Network) int {
 		for len(level) > 2 {
 			next := make([]network.Fanin, 0, (len(level)+1)/2)
 			for i := 0; i+1 < len(level); i += 2 {
-				g := nw.AddGate(fmt.Sprintf("%s$b%d", n.Name, added), n.Op, level[i], level[i+1])
+				name = strconv.AppendInt(append(append(name[:0], n.Name...), "$b"...), int64(added), 10)
+				stem := len(name)
+				for j := 1; nw.Find(string(name)) != nil; j++ {
+					name = strconv.AppendInt(append(name[:stem], '$'), int64(j), 10)
+				}
+				g := nw.AddGate(string(name), n.Op, level[i], level[i+1])
 				added++
 				next = append(next, network.Fanin{Node: g})
 			}
