@@ -9,6 +9,8 @@ package chortle
 //	    percentage improvement (paper: ~0%, 6%, 9%, 14% for K = 2..5).
 //	BenchmarkMapperSpeed_* — the Section 4.2 speed claim (Chortle 1x-10x
 //	    faster than MIS), timed on the largest circuit (des).
+//	BenchmarkSharedCache — each suite circuit at K=2..5 through a fresh
+//	    (cold) and a warmed cross-run shape cache.
 //	BenchmarkReadBLIF, BenchmarkWriteLUTBLIF — the byte layers every map
 //	    crosses: parsing the twelve circuits, writing their K=4 mappings.
 //	BenchmarkFigure2Mapping — the Figure 1/2 worked example at K=3.
@@ -23,6 +25,7 @@ package chortle
 // the reported custom metrics (LUT counts and percentages).
 
 import (
+	"fmt"
 	"io"
 	"strings"
 	"sync"
@@ -143,6 +146,50 @@ func BenchmarkMapperSpeed_MIS_des(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := mismap.Map(nw, lib); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSharedCache times one map of each paper circuit at K=2..5
+// through the cross-run shape cache. cold maps through a fresh cache
+// per op, so every shape is solved and published; warm maps through a
+// cache that already holds the circuit, so every shape is a verified
+// hit whose DP is rebound and reconstructed. Warm slower than cold means
+// the cache costs that circuit time.
+func BenchmarkSharedCache(b *testing.B) {
+	nets := optimizedSuite(b)
+	for _, name := range SuiteNames() {
+		nw := nets[name]
+		for k := 2; k <= 5; k++ {
+			opts := DefaultOptions(k)
+			b.Run(fmt.Sprintf("%s/k%d/cold", name, k), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					o := opts
+					o.SharedCache = NewSharedCache(SharedCacheConfig{})
+					if _, err := Map(nw, o); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.Run(fmt.Sprintf("%s/k%d/warm", name, k), func(b *testing.B) {
+				o := opts
+				o.SharedCache = NewSharedCache(SharedCacheConfig{})
+				if _, err := Map(nw, o); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					res, err := Map(nw, o)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if res.CacheMisses != 0 {
+						b.Fatalf("warm map missed %d shapes", res.CacheMisses)
+					}
+				}
+			})
 		}
 	}
 }

@@ -233,7 +233,6 @@ const (
 	EventPhaseEnd        = obs.KindPhaseEnd
 	EventTreeSolve       = obs.KindTreeSolve
 	EventMemoHit         = obs.KindMemoHit
-	EventTemplateReplay  = obs.KindTemplateReplay
 	EventBudgetExhausted = obs.KindBudgetExhausted
 	EventTreeDegraded    = obs.KindTreeDegraded
 	EventLUT             = obs.KindLUT

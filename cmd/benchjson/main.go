@@ -67,17 +67,16 @@ type cacheBlock struct {
 // unobserved. Phase times come from that observed run and are in
 // nanoseconds.
 type statBlock struct {
-	Depth           int              `json:"depth"`
-	Trees           int              `json:"trees"`
-	PhaseNs         map[string]int64 `json:"phase_ns"`
-	Solves          int              `json:"solves"`
-	WorkUnits       int64            `json:"work_units"`
-	MemoHits        int              `json:"memo_hits"`
-	MemoHitRate     float64          `json:"memo_hit_rate"`
-	TemplateReplays int              `json:"template_replays"`
-	Degraded        int              `json:"degraded"`
-	ArenaBytes      int64            `json:"arena_bytes"`
-	LUTInputHist    map[string]int   `json:"lut_input_hist"`
+	Depth        int              `json:"depth"`
+	Trees        int              `json:"trees"`
+	PhaseNs      map[string]int64 `json:"phase_ns"`
+	Solves       int              `json:"solves"`
+	WorkUnits    int64            `json:"work_units"`
+	MemoHits     int              `json:"memo_hits"`
+	MemoHitRate  float64          `json:"memo_hit_rate"`
+	Degraded     int              `json:"degraded"`
+	ArenaBytes   int64            `json:"arena_bytes"`
+	LUTInputHist map[string]int   `json:"lut_input_hist"`
 }
 
 type report struct {
@@ -231,17 +230,16 @@ func measure(name string, nw *chortle.Network, opts chortle.Options, reps int, e
 
 func buildStats(r *chortle.MapReport) *statBlock {
 	stats := &statBlock{
-		Depth:           r.Depth,
-		Trees:           r.Trees,
-		PhaseNs:         make(map[string]int64, len(r.Phases)),
-		Solves:          r.Solves,
-		WorkUnits:       r.WorkUnits,
-		MemoHits:        r.MemoHits,
-		MemoHitRate:     r.MemoHitRate(),
-		TemplateReplays: r.TemplateReplays,
-		Degraded:        len(r.Degraded),
-		ArenaBytes:      r.ArenaBytes,
-		LUTInputHist:    make(map[string]int, len(r.LUTInputHist)),
+		Depth:        r.Depth,
+		Trees:        r.Trees,
+		PhaseNs:      make(map[string]int64, len(r.Phases)),
+		Solves:       r.Solves,
+		WorkUnits:    r.WorkUnits,
+		MemoHits:     r.MemoHits,
+		MemoHitRate:  r.MemoHitRate(),
+		Degraded:     len(r.Degraded),
+		ArenaBytes:   r.ArenaBytes,
+		LUTInputHist: make(map[string]int, len(r.LUTInputHist)),
 	}
 	for _, p := range r.Phases {
 		stats.PhaseNs[p.Name] = p.Wall.Nanoseconds()

@@ -14,11 +14,10 @@ import (
 // on every emitted LUT, where it came from: the gate nodes it covers,
 // the decomposition shape that produced it, its fanin LUTs, the owning
 // fanout-free tree, and how the tree was solved (fresh search, memo
-// reuse, template replay, bin packing, budget degradation). The record
-// is read back with Circuit.ProvenanceOf and rendered by the DOT and
-// HTML exporters below. Provenance is strictly passive: the mapped
-// circuit is byte-identical with or without it, and when it is off the
-// hot path pays nothing.
+// reuse, bin packing, budget degradation). The record is read back with
+// Circuit.ProvenanceOf and rendered by the DOT and HTML exporters below.
+// Provenance is strictly passive: the mapped circuit is byte-identical
+// with or without it, and when it is off the hot path pays nothing.
 
 // Provenance is one LUT's origin record (Circuit.ProvenanceOf).
 type Provenance = lut.Provenance
@@ -31,7 +30,6 @@ const (
 	OriginUnknown  = lut.OriginUnknown
 	OriginFresh    = lut.OriginFresh
 	OriginMemo     = lut.OriginMemo
-	OriginReplay   = lut.OriginReplay
 	OriginBinPack  = lut.OriginBinPack
 	OriginDegraded = lut.OriginDegraded
 )

@@ -107,8 +107,7 @@ func solveDP(a *dpArena, f *forest.Forest, root *network.Node, opts Options, gov
 		}
 	}()
 	fireFaultHook("solve", int(root.ID))
-	var nodeCtr, leafCtr int32
-	return buildDPIn(a, f, root, opts, &nodeCtr, &leafCtr, gov), nil
+	return buildDPIn(a, f, root, opts, gov), nil
 }
 
 // solveDepthDP is solveDP for the depth-objective DP.

@@ -71,7 +71,7 @@ type depthState struct {
 func buildDepthDP(f *forest.Forest, n *network.Node, opts Options, leafArr func(*network.Node) int32, gov *governor) *depthState {
 	ds := &depthState{nodeDP: &nodeDP{node: n}}
 	for _, e := range n.Fanins {
-		fr := faninRef{edge: e, leafIdx: -1}
+		fr := faninRef{edge: e}
 		var child *depthState
 		if !f.IsLeafEdge(e.Node) {
 			child = buildDepthDP(f, e.Node, opts, leafArr, gov)

@@ -80,13 +80,10 @@ type gChoice struct {
 
 // faninRef is one fanin edge of a tree node: either a leaf edge
 // (primary input or another tree's root) or an internal child with its
-// own DP table. Leaf edges carry their index in the tree's preorder
-// leaf enumeration, which emission templates use to rebind input
-// signals across structurally identical trees.
+// own DP table.
 type faninRef struct {
-	edge    network.Fanin
-	child   *nodeDP // nil for leaf edges
-	leafIdx int32   // preorder leaf index; -1 for internal children
+	edge  network.Fanin
+	child *nodeDP // nil for leaf edges
 }
 
 // nodeDP holds the DP state of one tree node.
@@ -95,9 +92,6 @@ type nodeDP struct {
 	fanins []faninRef
 	full   uint32
 
-	// nodeIdx is the node's preorder index within its tree; emission
-	// templates use it to rebind fresh-name bases across identical trees.
-	nodeIdx int32
 	// stride is K+1, the row length of the flat g/choice tables.
 	stride int32
 
@@ -120,31 +114,24 @@ func (dp *nodeDP) choiceAt(s uint32, u int) gChoice { return dp.choice[int(s)*in
 // mapping hot path goes through buildDPIn with a recycled arena and a
 // governor.
 func buildDP(f *forest.Forest, n *network.Node, opts Options) *nodeDP {
-	var nodeCtr, leafCtr int32
-	return buildDPIn(new(dpArena), f, n, opts, &nodeCtr, &leafCtr, nil)
+	return buildDPIn(new(dpArena), f, n, opts, nil)
 }
 
 // buildDPIn constructs the tree DP with all state carved from arena a.
-// nodeCtr and leafCtr thread the preorder numbering of gates and leaf
-// edges through the recursion. gov (nil = unmetered) observes
-// cancellation and search budgets; on a trip it unwinds the whole solve
-// with a *solveAbort panic, so callers must enter through solveDP.
-func buildDPIn(a *dpArena, f *forest.Forest, n *network.Node, opts Options, nodeCtr, leafCtr *int32, gov *governor) *nodeDP {
+// gov (nil = unmetered) observes cancellation and search budgets; on a
+// trip it unwinds the whole solve with a *solveAbort panic, so callers
+// must enter through solveDP.
+func buildDPIn(a *dpArena, f *forest.Forest, n *network.Node, opts Options, gov *governor) *nodeDP {
 	dp := a.allocNode()
-	idx := *nodeCtr
-	*nodeCtr++
 	frs := a.allocFanins(len(n.Fanins))
 	for i, e := range n.Fanins {
-		fr := faninRef{edge: e, leafIdx: -1}
+		fr := faninRef{edge: e}
 		if !f.IsLeafEdge(e.Node) {
-			fr.child = buildDPIn(a, f, e.Node, opts, nodeCtr, leafCtr, gov)
-		} else {
-			fr.leafIdx = *leafCtr
-			*leafCtr++
+			fr.child = buildDPIn(a, f, e.Node, opts, gov)
 		}
 		frs[i] = fr
 	}
-	*dp = nodeDP{node: n, fanins: frs, nodeIdx: idx}
+	*dp = nodeDP{node: n, fanins: frs}
 	dp.compute(a, opts, gov)
 	return dp
 }

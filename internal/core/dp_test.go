@@ -134,7 +134,7 @@ func buildDPRef(a *dpArena, f *forest.Forest, n *network.Node, opts Options, gov
 	dp := a.allocNode()
 	frs := a.allocFanins(len(n.Fanins))
 	for i, e := range n.Fanins {
-		fr := faninRef{edge: e, leafIdx: -1}
+		fr := faninRef{edge: e}
 		if !f.IsLeafEdge(e.Node) {
 			fr.child = buildDPRef(a, f, e.Node, opts, gov)
 		}
@@ -201,9 +201,8 @@ func TestDPTablesMatchReference(t *testing.T) {
 			for _, noDecomp := range []bool{false, true} {
 				opts := DefaultOptions(k)
 				opts.DisableDecomposition = noDecomp
-				var nodeCtr, leafCtr int32
 				gotGov, wantGov := &governor{}, &governor{}
-				got := buildDPIn(new(dpArena), f, root, opts, &nodeCtr, &leafCtr, gotGov)
+				got := buildDPIn(new(dpArena), f, root, opts, gotGov)
 				want := buildDPRef(new(dpArena), f, root, opts, wantGov)
 				where := fmt.Sprintf("trial %d K=%d noDecomp=%v", trial, k, noDecomp)
 				compareDP(t, where, got, want)

@@ -74,15 +74,6 @@ type mapper struct {
 	isInput map[string]bool
 	// nameBuf is fresh's reused name buffer.
 	nameBuf []byte
-	// Template-lookup scratch, reused tree after tree: the tree's gate
-	// names and leaf signals in preorder, and patternOf's state.
-	names, leafSigs []string
-	firstLeaf       map[string]int
-	patBuf          []byte
-
-	// rec, when non-nil, passively records the emission of the current
-	// tree as a template for structurally identical trees (template.go).
-	rec *emitRecorder
 
 	// Per-tree provenance context (provenance.go), meaningful only when
 	// opts.Provenance is set: the tree being realized, how it was
@@ -132,16 +123,6 @@ func (m *mapper) rootName(root *network.Node) string {
 	return root.Name
 }
 
-// freshFor draws a fresh name seeded by dp's node, noting the draw for
-// the template recorder so replays can reproduce the exact sequence.
-func (m *mapper) freshFor(dp *nodeDP) string {
-	name := m.fresh(dp.node.Name)
-	if m.rec != nil {
-		m.rec.noteFresh(name, dp.nodeIdx)
-	}
-	return name
-}
-
 // leafSignal resolves a leaf edge's node to its finished signal: the PI
 // name, or the signal of an already-mapped tree root.
 func (m *mapper) leafSignal(n *network.Node) (string, error) {
@@ -160,17 +141,10 @@ func (m *mapper) leafSignal(n *network.Node) (string, error) {
 // best mapping rooted at a fresh LUT.
 func (m *mapper) signalOf(fr faninRef) (string, error) {
 	if fr.child == nil {
-		sig, err := m.leafSignal(fr.edge.Node)
-		if err != nil {
-			return "", err
-		}
-		if m.rec != nil {
-			m.rec.noteLeaf(sig, fr.leafIdx)
-		}
-		return sig, nil
+		return m.leafSignal(fr.edge.Node)
 	}
 	c := fr.child
-	return m.emitLUT(c, c.full, c.bestU, m.freshFor(c), m.provFor(c))
+	return m.emitLUT(c, c.full, c.bestU, m.fresh(c.node.Name), m.provFor(c))
 }
 
 // collectGroups walks the DP choices for (dp, s, u), returning the truth
@@ -206,7 +180,7 @@ func (m *mapper) collectGroups(dp *nodeDP, s uint32, u int, pins *lutPins, pf *p
 			} else {
 				c := fr.child
 				pf.open("merge")
-				pf.cover(c.node.Name, c.nodeIdx)
+				pf.cover(c.node.Name)
 				var err error
 				if grp, err = m.collectGroups(c, c.full, int(ch.v), pins, pf); err != nil {
 					return 0, err
@@ -219,7 +193,7 @@ func (m *mapper) collectGroups(dp *nodeDP, s uint32, u int, pins *lutPins, pf *p
 			s &^= 1 << uint(pivot)
 			u -= int(ch.v)
 		case choiceIntermediate:
-			sig, err := m.emitLUT(dp, ch.d, int(dp.mmBestU[ch.d]), m.freshFor(dp), m.provGroupFor(dp))
+			sig, err := m.emitLUT(dp, ch.d, int(dp.mmBestU[ch.d]), m.fresh(dp.node.Name), m.provGroupFor(dp))
 			if err != nil {
 				return 0, err
 			}
@@ -258,9 +232,6 @@ func (m *mapper) emitLUT(dp *nodeDP, s uint32, u int, name string, pf *provFrame
 	inputs := pins.sig[:pins.n]
 	table := truth.New(pins.n, col)
 	m.ckt.AddLUT(name, inputs, table)
-	if m.rec != nil {
-		m.rec.noteLUT(name, inputs, table)
-	}
 	m.recordProv(pf, name, inputs, dp.node.Op.String(), u)
 	return name, nil
 }
@@ -284,14 +255,11 @@ func errDegraded(name string) error {
 }
 
 // realizeTreeMemo maps one tree through the shape cache that
-// solveShapes filled. A shape hit reuses the cached DP tables (rebound
-// to this tree's nodes); a (shape, leaf-pattern) hit replays the
-// recorded emission outright. Most shapes never repeat, so templates are
-// recorded only from a shape's second instance on, once repetition is
-// proven. (A shape seen exactly twice reconstructs twice; from the third
-// instance on it replays.) An error wrapping cerrs.ErrBudgetExhausted
-// means the shape's solve ran out of budget and the caller should
-// degrade the tree; any other error aborts the mapping.
+// solveShapes filled. A shape hit reuses the cached DP tables, rebound
+// to this tree's nodes, and every tree is reconstructed from its DP. An
+// error wrapping cerrs.ErrBudgetExhausted means the shape's solve ran
+// out of budget and the caller should degrade the tree; any other error
+// aborts the mapping.
 func (m *mapper) realizeTreeMemo(root *network.Node, mc *mapCtx) (int32, error) {
 	e := mc.shapes[root]
 	if e == nil {
@@ -310,37 +278,10 @@ func (m *mapper) realizeTreeMemo(root *network.Node, mc *mapCtx) (int32, error) 
 		// a frozen copy with no live node or edge pointers, so even this
 		// run's first instance of the shape rebinds.
 		mc.tr.memoHit(root.Name, e.dp.bestCost)
-		dp = rebindDP(mc.seqArena, e.dp, m.f, root)
+		dp = rebindDP(mc.seqArena, e.dp, root)
 		m.setProvTree(root.Name, lut.OriginMemo, 0)
 	} else {
 		m.setProvTree(root.Name, lut.OriginFresh, e.units)
 	}
-	if !e.seen {
-		e.seen = true
-		return m.realizeTreeFromDP(root, dp)
-	}
-	names, leafSigs, err := m.treeNamesAndLeafSigs(root)
-	if err != nil {
-		return 0, err
-	}
-	pattern := m.patternOf(leafSigs)
-	if t := e.templateFor(pattern); t != nil {
-		m.setProvTree(root.Name, lut.OriginReplay, 0)
-		if _, err := m.replayTemplate(root, t, names, leafSigs); err != nil {
-			return 0, err
-		}
-		mc.tr.templateReplay(root.Name)
-		return e.dp.bestCost, nil
-	}
-	m.rec = newEmitRecorder()
-	cost, err := m.realizeTreeFromDP(root, dp)
-	rec := m.rec
-	m.rec = nil
-	if err != nil {
-		return 0, err
-	}
-	if t := rec.template(); t != nil {
-		e.putTemplate(pattern, t)
-	}
-	return cost, nil
+	return m.realizeTreeFromDP(root, dp)
 }

@@ -1,18 +1,14 @@
 package core
 
 import (
-	"strconv"
-
 	"chortle/internal/forest"
 	"chortle/internal/network"
 )
 
 // Isomorphic-tree memoization: per-Map caches keyed by the structural
 // tree hash (treehash.go). A shapeEntry owns the DP tables solved for
-// the first tree of a shape plus the emission templates recorded while
-// reconstructing trees of that shape; later trees rebind the tables to
-// their own nodes (rebindDP) or replay a template outright, skipping
-// both the 3^fanin DP and the per-LUT truth-table evaluation.
+// the first tree of a shape; later trees rebind the tables to their own
+// nodes (rebindDP), skipping the 3^fanin DP, and reconstruct from them.
 
 // shapeEntry is the memoized state of one tree shape.
 type shapeEntry struct {
@@ -36,51 +32,11 @@ type shapeEntry struct {
 	// another run).
 	frozen bool
 
-	// shared, when non-nil, is the cross-run shape this entry mirrors
-	// (cache hit) or published (cache insert). Template lookups fall
-	// through to it and template recordings are offered to it, so a
-	// pattern recorded by any run replays in every later run.
-	shared *sharedShape
-
 	// degraded marks a shape whose solve exhausted its search budget
 	// (dp is nil). Every tree of the shape degrades to bin packing —
 	// the work cost of a shape is deterministic, so these are exactly
 	// the trees that a solve of their own would degrade.
 	degraded bool
-
-	// seen is set once a tree of this shape has been reconstructed. Most
-	// shapes never repeat, so the template machinery (leaf-signal walk,
-	// emission recording) is engaged only from the second instance on.
-	seen bool
-
-	// templates maps a leaf-coincidence pattern (patternOf) to the
-	// recorded emission for that pattern. The emitted LUT structure
-	// depends not only on the tree shape but on which leaf edges happen
-	// to resolve to the same signal (the LUT input list deduplicates
-	// repeated signals), so templates are keyed by that partition.
-	templates map[string]*emitTemplate
-}
-
-// templateFor resolves a leaf-pattern's recorded emission: run-local
-// templates first, then the shared shape's (recorded by this or any
-// earlier run).
-func (e *shapeEntry) templateFor(pattern string) *emitTemplate {
-	if t := e.templates[pattern]; t != nil {
-		return t
-	}
-	if e.shared != nil {
-		return e.shared.templateFor(pattern)
-	}
-	return nil
-}
-
-// putTemplate stores a freshly recorded template locally and offers it
-// to the shared shape, if any.
-func (e *shapeEntry) putTemplate(pattern string, t *emitTemplate) {
-	e.templates[pattern] = t
-	if e.shared != nil {
-		e.shared.addTemplate(pattern, t)
-	}
 }
 
 // shapeMemo is the per-Map shape cache. Buckets hold every distinct
@@ -114,59 +70,28 @@ func (m *shapeMemo) insert(si shapeInfo, e *shapeEntry) {
 	m.buckets[si.hash] = append(m.buckets[si.hash], e)
 }
 
-// rebindDP binds cached DP tables — solved on a structurally identical
-// tree — to the nodes of the tree rooted at root. The flat table slabs
-// are shared read-only; only the nodeDP skeleton and fanin references
-// (which name actual network nodes for reconstruction) are rebuilt, so a
-// cache hit costs O(tree) pointer work instead of an O(3^fanin) solve.
-func rebindDP(a *dpArena, cached *nodeDP, f *forest.Forest, root *network.Node) *nodeDP {
-	var leafCtr int32
-	var walk func(c *nodeDP, n *network.Node) *nodeDP
-	walk = func(c *nodeDP, n *network.Node) *nodeDP {
-		dp := a.allocNode()
-		frs := a.allocFanins(len(n.Fanins))
-		for i, e := range n.Fanins {
-			fr := faninRef{edge: e, leafIdx: -1}
-			if cc := c.fanins[i].child; cc != nil {
-				fr.child = walk(cc, e.Node)
-			} else {
-				fr.leafIdx = leafCtr
-				leafCtr++
-			}
-			frs[i] = fr
+// rebindDP binds cached DP tables c — solved on a structurally
+// identical tree — to the nodes of the tree rooted at n. The flat table
+// slabs are shared read-only; only the nodeDP skeleton and fanin
+// references (which name actual network nodes for reconstruction) are
+// rebuilt, so a cache hit costs O(tree) pointer work instead of an
+// O(3^fanin) solve.
+func rebindDP(a *dpArena, c *nodeDP, n *network.Node) *nodeDP {
+	dp := a.allocNode()
+	frs := a.allocFanins(len(n.Fanins))
+	for i, e := range n.Fanins {
+		fr := faninRef{edge: e}
+		if cc := c.fanins[i].child; cc != nil {
+			fr.child = rebindDP(a, cc, e.Node)
 		}
-		*dp = nodeDP{
-			node: n, fanins: frs, full: c.full,
-			nodeIdx: c.nodeIdx, stride: c.stride,
-			g: c.g, choice: c.choice, mmBest: c.mmBest, mmBestU: c.mmBestU,
-			bestCost: c.bestCost, bestU: c.bestU,
-		}
-		return dp
+		frs[i] = fr
 	}
-	return walk(cached, root)
-}
-
-// patternOf canonicalizes which leaf signals coincide: entry i is the
-// first leaf index carrying the same signal as leaf i. Two same-shaped
-// trees with equal patterns emit identical LUT structure. The map and
-// buffer it works in are the mapper's scratch.
-func (m *mapper) patternOf(sigs []string) string {
-	if m.firstLeaf == nil {
-		m.firstLeaf = make(map[string]int)
+	*dp = nodeDP{
+		node: n, fanins: frs, full: c.full, stride: c.stride,
+		g: c.g, choice: c.choice, mmBest: c.mmBest, mmBestU: c.mmBestU,
+		bestCost: c.bestCost, bestU: c.bestU,
 	}
-	clear(m.firstLeaf)
-	buf := m.patBuf[:0]
-	for i, s := range sigs {
-		j, ok := m.firstLeaf[s]
-		if !ok {
-			j = i
-			m.firstLeaf[s] = i
-		}
-		buf = strconv.AppendInt(buf, int64(j), 10)
-		buf = append(buf, '.')
-	}
-	m.patBuf = buf
-	return string(buf)
+	return dp
 }
 
 // costMemo caches tree costs by shape across networks — the cost-aware

@@ -140,51 +140,43 @@ func TestShapeMemoCollisionSafety(t *testing.T) {
 	}
 }
 
-func TestPatternOf(t *testing.T) {
-	cases := []struct {
-		sigs []string
-		want string
-	}{
-		{nil, ""},
-		{[]string{"a", "b", "c"}, "0.1.2."},
-		{[]string{"a", "a", "c"}, "0.0.2."},
-		{[]string{"a", "b", "a", "b"}, "0.1.0.1."},
-		{[]string{"b", "a"}, "0.1."},
-	}
-	// One mapper throughout: its scratch must not leak between calls.
-	m := &mapper{}
-	for _, c := range cases {
-		if got := m.patternOf(c.sigs); got != c.want {
-			t.Errorf("patternOf(%v) = %q, want %q", c.sigs, got, c.want)
-		}
-	}
-	// Distinct coincidence structures must key distinct templates even
-	// when the signal sets overlap.
-	if m.patternOf([]string{"a", "a", "b"}) == m.patternOf([]string{"a", "b", "b"}) {
-		t.Errorf("different coincidence structures share a pattern key")
-	}
-}
-
 // TestMemoizedMapMatchesPlain maps a network built to contain many
-// isomorphic trees with varying leaf coincidence (the template cache's
-// hard case) and checks that the memoized mapping costs exactly what
-// solving every tree on its own does (TreeCosts), simulates like the
-// network, and emits the same bytes at every worker count.
+// isomorphic trees with varying leaf coincidence — trees of one shape
+// whose leaf edges sometimes share a signal, which the rebound DP must
+// reconstruct with deduplicated LUT inputs — and checks that the
+// memoized mapping costs exactly what solving every tree on its own does
+// (TreeCosts), simulates like the network, and emits the same bytes at
+// every worker count.
 func TestMemoizedMapMatchesPlain(t *testing.T) {
 	nw := network.New("iso")
 	var ins []*network.Node
 	for i := 0; i < 8; i++ {
 		ins = append(ins, nw.AddInput("i"+string(rune('a'+i))))
 	}
+	coincident := 0
 	for g := 0; g < 24; g++ {
 		x := ins[g%8]
 		y := ins[(g*3+1)%8]
-		z := ins[(g*5+2)%8] // sometimes y == z: different leaf pattern, same shape
+		z := ins[(g*5+2)%8]
+		// Two trees in three reuse a leaf signal: same shape, different
+		// leaf pattern.
+		switch g % 3 {
+		case 0:
+			z = y
+		case 1:
+			z = x
+		}
+		if x == y || y == z || x == z {
+			coincident++
+		}
 		a := nw.AddGate("a"+string(rune('a'+g%26))+string(rune('0'+g/26)), network.OpAnd,
 			network.Fanin{Node: x}, network.Fanin{Node: y, Invert: g%2 == 0})
 		o := nw.AddGate("o"+string(rune('a'+g%26))+string(rune('0'+g/26)), network.OpOr,
 			network.Fanin{Node: a}, network.Fanin{Node: z})
 		nw.MarkOutput("y"+string(rune('a'+g%26))+string(rune('0'+g/26)), o, false)
+	}
+	if coincident == 0 {
+		t.Fatal("no tree reuses a leaf signal; the coincident-leaf case is untested")
 	}
 
 	for k := 2; k <= 5; k++ {

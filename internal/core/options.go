@@ -74,36 +74,34 @@ type Options struct {
 
 	// Observer, when non-nil, receives structured events from the
 	// mapping pipeline: phase boundaries with wall times, per-tree DP
-	// solves with their metered work units, memo hits and template
-	// replays, budget trips and degradations, arena statistics, and a
-	// per-LUT summary of the finished circuit (see internal/obs). The
-	// zero value disables all instrumentation: every emission site is a
-	// single nil check and the hot path allocates nothing extra.
-	// Observation is strictly read-only — the emitted circuit is
-	// byte-identical with or without an observer, at every worker count
-	// and Budget. Sinks must tolerate concurrent calls: the solve pool
-	// emits from its workers.
+	// solves with their metered work units, memo hits, budget trips and
+	// degradations, arena statistics, and a per-LUT summary of the
+	// finished circuit (see internal/obs). The zero value disables all
+	// instrumentation: every emission site is a single nil check and the
+	// hot path allocates nothing extra. Observation is strictly
+	// read-only — the emitted circuit is byte-identical with or without
+	// an observer, at every worker count and Budget. Sinks must tolerate
+	// concurrent calls: the solve pool emits from its workers.
 	Observer obs.Observer
 
 	// Provenance records, on the emitted lut.Circuit, a per-LUT
 	// ancestry record: the covered network gate nodes (a partition of
 	// the prepared network's gates), the decomposition shape the DP
 	// chose at the LUT's root, the owning tree with its solve's work
-	// units, and the realization origin (fresh solve, memo reuse,
-	// template replay, bin packing, budget degradation). Result.Prepared
-	// additionally carries the preprocessed network the records refer
-	// to. Recording is strictly passive — the circuit is byte-identical
-	// with or without it — and with the flag off every hook is a nil
-	// check that allocates nothing, the same discipline as the nil
-	// Observer. Consumed by the explainability exporters
-	// (internal/explain: DOT graphs, HTML run reports).
+	// units, and the realization origin (fresh solve, memo reuse, bin
+	// packing, budget degradation). Result.Prepared additionally carries
+	// the preprocessed network the records refer to. Recording is
+	// strictly passive — the circuit is byte-identical with or without
+	// it — and with the flag off every hook is a nil check that
+	// allocates nothing, the same discipline as the nil Observer.
+	// Consumed by the explainability exporters (internal/explain: DOT
+	// graphs, HTML run reports).
 	Provenance bool
 
 	// SharedCache, when non-nil, backs this run's shape memo with a
-	// process-wide cross-run cache (NewSharedShapeCache): DP solves and
-	// emission templates published by any earlier Map call with
-	// compatible options are reused, and this run's solves are published
-	// back. Only the exhaustive area search uses it, and it is ignored
+	// process-wide cross-run cache (NewSharedShapeCache): DP solves
+	// published by any earlier Map call with compatible options are
+	// reused, and this run's solves are published back. Only the exhaustive area search uses it, and it is ignored
 	// under a wall-clock budget (Budget.WallClock), whose degradations
 	// are timing-dependent — cache warmth never changes emitted bytes.
 	// Every hit is verified against a canonical shape encoding before

@@ -209,7 +209,7 @@ func (mc *mapCtx) solveShapes() error {
 		si := treeShapeInfo(mc.f, r, mc.seed)
 		e := mc.cache.lookup(mc.f, r, si)
 		if e == nil {
-			e = &shapeEntry{f: mc.f, rep: r, templates: make(map[string]*emitTemplate)}
+			e = &shapeEntry{f: mc.f, rep: r}
 			mc.cache.insert(si, e)
 			reps = append(reps, r)
 			sis = append(sis, si)

@@ -22,30 +22,22 @@ import (
 // provFrame accumulates one LUT's provenance while the reconstruction
 // walk collects its groups. A nil frame disables all recording.
 type provFrame struct {
-	// covers lists the gate nodes fully absorbed by this LUT; idx is
-	// the node's preorder index within its tree, which the emission
-	// template uses to rebind the record across identical trees.
-	covers []coveredRef
+	// covers lists the gate nodes fully absorbed by this LUT.
+	covers []string
 	// partOf names the node this LUT partially computes when it is an
 	// intermediate group (or an under-filled bin) rather than any
-	// node's completed root; partIdx is its preorder index.
-	partOf  string
-	partIdx int32
+	// node's completed root.
+	partOf string
 	// shape accumulates one token per placement of the root walk.
 	shape strings.Builder
 }
 
-type coveredRef struct {
-	name string
-	idx  int32
-}
-
 // cover records a gate node absorbed into the frame's LUT.
-func (pf *provFrame) cover(name string, idx int32) {
+func (pf *provFrame) cover(name string) {
 	if pf == nil {
 		return
 	}
-	pf.covers = append(pf.covers, coveredRef{name: name, idx: idx})
+	pf.covers = append(pf.covers, name)
 }
 
 // token appends one shape token ("pin", "grp3", "merge(", ")", ...).
@@ -82,15 +74,13 @@ func (pf *provFrame) close() {
 // ownerFrame is the frame for a LUT that completes a node's function —
 // a tree root or an internal child realized as its own signal.
 func ownerFrame(dp *nodeDP) *provFrame {
-	pf := &provFrame{partIdx: -1}
-	pf.cover(dp.node.Name, dp.nodeIdx)
-	return pf
+	return &provFrame{covers: []string{dp.node.Name}}
 }
 
 // groupFrame is the frame for an intermediate LUT covering a subset of
 // dp's fanins: it completes no node and is attributed to dp partially.
 func groupFrame(dp *nodeDP) *provFrame {
-	return &provFrame{partOf: dp.node.Name, partIdx: dp.nodeIdx}
+	return &provFrame{partOf: dp.node.Name}
 }
 
 // record finalizes the frame into a provenance record on the circuit,
@@ -101,23 +91,15 @@ func (m *mapper) recordProv(pf *provFrame, name string, inputs []string, opName 
 	if pf == nil {
 		return
 	}
-	covers := make([]string, len(pf.covers))
-	for i, c := range pf.covers {
-		covers[i] = c.name
-	}
-	p := &lut.Provenance{
+	m.ckt.SetProvenance(name, &lut.Provenance{
 		Tree:      m.provTree,
 		Origin:    m.provOrigin,
-		Covers:    covers,
+		Covers:    pf.covers,
 		PartOf:    pf.partOf,
 		Shape:     "u" + strconv.Itoa(u) + ":" + opName + "[" + pf.shape.String() + "]",
 		FaninLUTs: m.faninLUTs(inputs),
 		WorkUnits: m.provUnits,
-	}
-	m.ckt.SetProvenance(name, p)
-	if m.rec != nil {
-		m.rec.noteProv(pf, p.Shape)
-	}
+	})
 }
 
 // faninLUTs filters an input list down to the signals that are other

@@ -72,8 +72,7 @@ func TestProvenanceRandomDAGs(t *testing.T) {
 
 // identicalTrees builds a network of count structurally identical
 // multi-level trees, each its own output — the shape memo's best case,
-// forcing the rebind path (second instance) and the template replay
-// path (third instance onward).
+// forcing the rebind path from the second instance on.
 func identicalTrees(count int) *network.Network {
 	nw := network.New("iso")
 	for i := 0; i < count; i++ {
@@ -96,10 +95,10 @@ func identicalTrees(count int) *network.Network {
 	return nw
 }
 
-// TestProvenanceMemoOrigins drives the memo machinery through all
-// three of its branches — fresh solve, DP rebind, template replay —
-// and checks that origins land accordingly while coverage stays exact,
-// with the same records at every worker count.
+// TestProvenanceMemoOrigins drives the memo machinery through both of
+// its branches — fresh solve and DP rebind — and checks that origins
+// land accordingly while coverage stays exact, with the same records at
+// every worker count.
 func TestProvenanceMemoOrigins(t *testing.T) {
 	nw := identicalTrees(5)
 	opts := DefaultOptions(4)
@@ -112,8 +111,8 @@ func TestProvenanceMemoOrigins(t *testing.T) {
 		}
 		checkProvenance(t, res)
 		counts := res.Circuit.OriginCounts()
-		if counts["fresh"] == 0 || counts["memo"] == 0 || counts["replay"] == 0 {
-			t.Fatalf("%d workers: want fresh, memo and replay origins across 5 identical trees, got %v", procs, counts)
+		if counts["fresh"] == 0 || counts["memo"] == 0 {
+			t.Fatalf("%d workers: want fresh and memo origins across 5 identical trees, got %v", procs, counts)
 		}
 		if want == nil {
 			want = res

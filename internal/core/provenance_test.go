@@ -17,7 +17,7 @@ func TestProvenanceHooksOffZeroAlloc(t *testing.T) {
 	dp := &nodeDP{node: &network.Node{Name: "n", Op: network.OpAnd}}
 	var pf *provFrame
 	allocs := testing.AllocsPerRun(1000, func() {
-		pf.cover("gate", 3)
+		pf.cover("gate")
 		pf.token("pin")
 		pf.open("merge")
 		pf.close()
@@ -36,7 +36,7 @@ func TestProvenanceHooksOffZeroAlloc(t *testing.T) {
 // comma separation at the top level, none right after an opening
 // parenthesis, and nesting via open/close.
 func TestProvFrameShape(t *testing.T) {
-	pf := &provFrame{partIdx: -1}
+	pf := &provFrame{}
 	pf.token("pin")
 	pf.open("merge")
 	pf.token("pin")

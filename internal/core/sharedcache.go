@@ -2,8 +2,6 @@ package core
 
 import (
 	"bytes"
-	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"chortle/internal/forest"
@@ -12,20 +10,18 @@ import (
 )
 
 // The cross-run shape cache. The per-run memo (memo.go) already proves
-// that a tree DP and its emission templates depend only on the tree's
-// shape and the option seed; this file promotes that reuse across Map
-// calls. Storage is internal/shapecache — sharded, bounded, LRU — and
-// the values are sharedShape: an immutable-after-publish bundle of the
-// canonical shape encoding (the verification key), a heap-frozen DP, and
-// a copy-on-write template map.
+// that a tree DP depends only on the tree's shape and the option seed;
+// this file promotes that reuse across Map calls. Storage is
+// internal/shapecache — sharded, bounded, LRU — and the values are
+// sharedShape: the canonical shape encoding (the verification key) and
+// a heap-frozen DP.
 //
 // Immutability discipline: the per-run memo hands out arena-backed DP
 // tables that die with the run, so publication deep-copies them to the
 // heap (freezeDP) with all node and edge pointers dropped — a cached
 // shape pins nothing of the network that produced it, and consumers must
-// rebind (rebindDP) before reconstructing. Templates are the one field
-// that grows after publish; they go through an atomic copy-on-write map
-// so readers never lock and never observe a partial write.
+// rebind (rebindDP) before reconstructing. A shared shape never changes
+// after it is published, so readers share it without locks.
 //
 // Correctness discipline: hits are verified by byte-comparing canonical
 // encodings (seed-prefixed, injective — see appendShapeEnc), so a 64-bit
@@ -41,16 +37,16 @@ type SharedCacheConfig struct {
 	Shards int
 	// MaxEntries bounds the resident shape count.
 	MaxEntries int
-	// MaxBytes bounds the accounted resident cost: frozen DP tables,
-	// encodings, and published templates.
+	// MaxBytes bounds the accounted resident cost: frozen DP tables and
+	// encodings.
 	MaxBytes int64
 }
 
 // SharedShapeCache is a process-wide, concurrency-safe cache of tree
 // shape solutions, shared by any number of concurrent Map calls through
-// Options.SharedCache. A warm cache turns the per-shape DP solve and
-// most of reconstruction into O(tree) pointer work. Eviction only costs
-// future hits; a full or thrashing cache still maps correctly.
+// Options.SharedCache. A warm cache turns the per-shape DP solve into
+// O(tree) pointer work. Eviction only costs future hits; a full or
+// thrashing cache still maps correctly.
 type SharedShapeCache struct {
 	cache *shapecache.Cache
 }
@@ -71,14 +67,7 @@ func (c *SharedShapeCache) Stats() shapecache.Stats { return c.cache.Stats() }
 // Len reports the resident shape count.
 func (c *SharedShapeCache) Len() int { return c.cache.Len() }
 
-// maxSharedTemplates caps the leaf-coincidence patterns published per
-// shape. Patterns beyond the cap stay run-local: correctness is
-// unaffected (a missing template means normal reconstruction), and the
-// cap keeps one pathological shape from monopolizing the byte budget.
-const maxSharedTemplates = 16
-
-// sharedShape is one cached shape. enc and dp are immutable after
-// publish; templates grow copy-on-write.
+// sharedShape is one cached shape, immutable after publish.
 type sharedShape struct {
 	enc []byte  // seed-prefixed canonical encoding; the verification key
 	dp  *nodeDP // frozen heap copy (freezeDP); consumers must rebind
@@ -86,54 +75,6 @@ type sharedShape struct {
 	// units is the metered work the origin run spent solving the shape,
 	// kept for metrics (a hit saves this much search work).
 	units int64
-
-	mu        sync.Mutex // serializes template publication
-	templates atomic.Pointer[map[string]*emitTemplate]
-	handle    atomic.Pointer[shapecache.Handle]
-}
-
-func (s *sharedShape) templateFor(pattern string) *emitTemplate {
-	m := s.templates.Load()
-	if m == nil {
-		return nil
-	}
-	return (*m)[pattern]
-}
-
-// addTemplate publishes a recorded template under its leaf pattern via
-// copy-on-write: the first writer of a pattern wins (all recordings of a
-// (shape, pattern, seed) class are identical anyway), and the resident
-// entry's accounted cost grows by the template's footprint.
-func (s *sharedShape) addTemplate(pattern string, t *emitTemplate) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	old := s.templates.Load()
-	if old != nil {
-		if _, ok := (*old)[pattern]; ok {
-			return
-		}
-		if len(*old) >= maxSharedTemplates {
-			return
-		}
-	}
-	next := make(map[string]*emitTemplate, 1)
-	if old != nil {
-		for k, v := range *old {
-			next[k] = v
-		}
-	}
-	next[pattern] = t
-	s.templates.Store(&next)
-	if h := s.handle.Load(); h != nil {
-		h.Grow(templateBytes(pattern, t))
-	}
-}
-
-// setHandle attaches the storage handle once, right after Put. A reader
-// that raced in between Put and setHandle merely skips one Grow — an
-// accounting slack of one template, never a correctness issue.
-func (s *sharedShape) setHandle(h shapecache.Handle) {
-	s.handle.CompareAndSwap(nil, &h)
 }
 
 // tieredShapeCache is one Map run's shape storage: the per-run memo (L1),
@@ -189,17 +130,10 @@ func (c *tieredShapeCache) lookup(f *forest.Forest, root *network.Node, si shape
 		return nil
 	}
 	c.hits++
-	ss := v.(*sharedShape)
 	// Wrap the frozen shape in a run-local entry: rep is this run's
 	// first instance (so later same-run trees verify against a live
-	// network), frozen forces a rebind even for that instance, and seen
-	// engages the template machinery immediately — the shared shape has
-	// proven repetition already.
-	e := &shapeEntry{
-		f: f, rep: root, dp: ss.dp,
-		frozen: true, seen: true, shared: ss,
-		templates: make(map[string]*emitTemplate),
-	}
+	// network), and frozen forces a rebind even for that instance.
+	e := &shapeEntry{f: f, rep: root, dp: v.(*sharedShape).dp, frozen: true}
 	c.memo.insert(si, e)
 	return e
 }
@@ -210,24 +144,18 @@ func (c *tieredShapeCache) insert(si shapeInfo, e *shapeEntry) { c.memo.insert(s
 
 // publish offers a fully solved entry to the shared tier, freezing and
 // storing it unless there is no shared tier or the entry is degraded,
-// unmappable, or already shared.
+// unmappable, or came from the shared tier. On a lost race the earlier
+// publisher's shape stays resident and this copy is dropped; the local
+// entry keeps its arena-backed dp either way.
 func (c *tieredShapeCache) publish(root *network.Node, si shapeInfo, e *shapeEntry) {
-	if c.shared == nil || e.shared != nil || e.frozen || e.degraded || e.dp == nil || e.dp.bestCost >= infinity {
+	if c.shared == nil || e.frozen || e.degraded || e.dp == nil || e.dp.bestCost >= infinity {
 		return
 	}
 	enc := c.encFor(root)
 	frozen, sz := freezeDP(e.dp)
-	ss := &sharedShape{enc: enc, dp: frozen, units: e.units}
-	res, h := c.shared.cache.Put(si.hash, ss, int64(len(enc))+sz+sharedShapeOverhead,
+	c.shared.cache.Put(si.hash, &sharedShape{enc: enc, dp: frozen, units: e.units},
+		int64(len(enc))+sz+sharedShapeOverhead,
 		func(v any) bool { return bytes.Equal(v.(*sharedShape).enc, enc) })
-	win := res.(*sharedShape)
-	if win == ss {
-		win.setHandle(h)
-	}
-	// On a lost race the earlier publisher's shape wins and our frozen
-	// copy is garbage; either way the local entry keeps its arena-backed
-	// dp (this run's arenas outlive it) and only templates flow through.
-	e.shared = win
 }
 
 // stats reports the run's shared-tier hit/miss counts: distinct shapes
@@ -245,16 +173,14 @@ const sharedShapeOverhead = int64(unsafe.Sizeof(sharedShape{})) + 64
 // into the origin network are dropped (rebindDP rebuilds them from the
 // consuming tree), so a cached shape keeps nothing of its origin run
 // alive. The copy preserves exactly the fields rebindDP reads: full,
-// nodeIdx, stride, the four table slabs, bestCost/bestU, and the
-// fanins' child skeleton. Returns the frozen root and the copy's
-// accounted byte size.
+// stride, the four table slabs, bestCost/bestU, and the fanins' child
+// skeleton. Returns the frozen root and the copy's accounted byte size.
 func freezeDP(dp *nodeDP) (*nodeDP, int64) {
 	var sz int64
 	var walk func(c *nodeDP) *nodeDP
 	walk = func(c *nodeDP) *nodeDP {
 		n := &nodeDP{
 			full:    c.full,
-			nodeIdx: c.nodeIdx,
 			stride:  c.stride,
 			g:       append([]int32(nil), c.g...),
 			choice:  append([]gChoice(nil), c.choice...),
@@ -273,7 +199,6 @@ func freezeDP(dp *nodeDP) (*nodeDP, int64) {
 			n.fanins = make([]faninRef, len(c.fanins))
 			sz += int64(len(c.fanins)) * int64(unsafe.Sizeof(faninRef{}))
 			for i := range c.fanins {
-				n.fanins[i] = faninRef{leafIdx: c.fanins[i].leafIdx}
 				if cc := c.fanins[i].child; cc != nil {
 					n.fanins[i].child = walk(cc)
 				}
@@ -282,18 +207,4 @@ func freezeDP(dp *nodeDP) (*nodeDP, int64) {
 		return n
 	}
 	return walk(dp), sz
-}
-
-// templateBytes approximates a template's heap footprint for the byte
-// accounting.
-func templateBytes(pattern string, t *emitTemplate) int64 {
-	sz := int64(len(pattern)) + 64
-	sz += int64(len(t.freshes)) * 4
-	for i := range t.luts {
-		l := &t.luts[i]
-		sz += int64(unsafe.Sizeof(lutSpec{}))
-		sz += int64(len(l.inputs)) * 4
-		sz += int64(len(l.covers))*4 + int64(len(l.shape))
-	}
-	return sz
 }

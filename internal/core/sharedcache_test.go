@@ -72,8 +72,9 @@ func TestSharedCacheByteIdentical(t *testing.T) {
 
 // TestSharedCacheSeedNamespaces verifies that runs whose options fold
 // into different shape seeds never exchange entries: same network at
-// K=3 and K=4, with and without a work-unit budget, with and without
-// provenance.
+// K=3 and K=4, with and without a work-unit budget. Provenance is not
+// part of the seed: a provenance run reuses the shapes a plain run
+// published, emits the same bytes, and records memo origins.
 func TestSharedCacheSeedNamespaces(t *testing.T) {
 	nw := identicalTrees(4)
 	cache := NewSharedShapeCache(SharedCacheConfig{})
@@ -90,11 +91,10 @@ func TestSharedCacheSeedNamespaces(t *testing.T) {
 		return res
 	}
 
-	run(func(o *Options) {})
+	plain := run(func(o *Options) {})
 	variants := []func(*Options){
 		func(o *Options) { o.K = 4 },
 		func(o *Options) { o.Budget.WorkUnits = 1 << 40 },
-		func(o *Options) { o.Provenance = true },
 	}
 	for i, tune := range variants {
 		if res := run(tune); res.CacheHits != 0 {
@@ -104,6 +104,18 @@ func TestSharedCacheSeedNamespaces(t *testing.T) {
 	// The exact same options hit.
 	if res := run(func(o *Options) {}); res.CacheHits == 0 {
 		t.Fatalf("identical re-run missed the cache")
+	}
+
+	prov := run(func(o *Options) { o.Provenance = true })
+	if prov.CacheHits == 0 || prov.CacheMisses != 0 {
+		t.Fatalf("provenance run over a plain-warmed cache: hits=%d misses=%d", prov.CacheHits, prov.CacheMisses)
+	}
+	if blifOf(t, prov) != blifOf(t, plain) {
+		t.Fatal("provenance run through the shared cache emitted different bytes")
+	}
+	checkProvenance(t, prov)
+	if counts := prov.Circuit.OriginCounts(); counts["fresh"] != 0 || counts["memo"] == 0 {
+		t.Fatalf("provenance run over a warm cache: origins %v, want memo only", counts)
 	}
 }
 
@@ -128,8 +140,7 @@ func TestSharedCacheWallClockBypass(t *testing.T) {
 }
 
 // TestSharedCacheProvenanceOrigins: a warm run's provenance must carry
-// the reuse origins (memo for rebinds, replay for template hits) and
-// still satisfy the coverage invariant.
+// the memo-reuse origin and still satisfy the coverage invariant.
 func TestSharedCacheProvenanceOrigins(t *testing.T) {
 	nw := identicalTrees(5)
 	cache := NewSharedShapeCache(SharedCacheConfig{})
@@ -152,8 +163,8 @@ func TestSharedCacheProvenanceOrigins(t *testing.T) {
 	if counts["fresh"] != 0 {
 		t.Fatalf("warm run re-solved %d trees fresh: %v", counts["fresh"], counts)
 	}
-	if counts["memo"]+counts["replay"] == 0 {
-		t.Fatalf("warm run carries no reuse origins: %v", counts)
+	if counts["memo"] == 0 {
+		t.Fatalf("warm run carries no memo origins: %v", counts)
 	}
 	if second.CacheHits == 0 || second.CacheMisses != 0 {
 		t.Fatalf("warm run: hits=%d misses=%d", second.CacheHits, second.CacheMisses)
@@ -239,7 +250,7 @@ func TestFreezeDPRoundTrip(t *testing.T) {
 		if fz.node != nil {
 			t.Fatalf("frozen copy retains a network node pointer")
 		}
-		if fz.full != orig.full || fz.nodeIdx != orig.nodeIdx || fz.stride != orig.stride ||
+		if fz.full != orig.full || fz.stride != orig.stride ||
 			fz.bestCost != orig.bestCost || fz.bestU != orig.bestU {
 			t.Fatalf("frozen scalar fields differ")
 		}
@@ -274,7 +285,7 @@ func TestFreezeDPRoundTrip(t *testing.T) {
 	// same circuit a direct solve would.
 	a := acquireArena()
 	defer a.release()
-	rb := rebindDP(a, frozen, f, root)
+	rb := rebindDP(a, frozen, root)
 	if rb.bestCost != dp.bestCost || rb.node != root {
 		t.Fatalf("rebind of frozen copy: cost %d vs %d, node %v", rb.bestCost, dp.bestCost, rb.node)
 	}

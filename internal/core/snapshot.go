@@ -5,33 +5,31 @@ import (
 	"errors"
 	"fmt"
 	"io"
-
-	"chortle/internal/truth"
 )
 
 // Shape cache persistence: the value codec behind SharedShapeCache
 // snapshots. internal/shapecache owns the container (magic, version,
 // namespace, checksum, atomic whole-file validation); this file owns
 // the per-entry payload — a varint-framed serialization of sharedShape:
-// the seed-prefixed canonical encoding, the frozen DP tree, the metered
-// solve units, and the published emission templates.
+// the seed-prefixed canonical encoding, the metered solve units, and the
+// frozen DP tree.
 //
 // Safety discipline mirrors the live cache. The namespace string below
 // names this payload format; any incompatible change to sharedShape,
-// nodeDP, emitTemplate or the canonical shape encoding must bump it so
-// old snapshots are rejected (cold boot) instead of misread. Decoding
-// validates every structural invariant rebindDP and template replay
-// rely on — table geometry, index ranges, and a full lockstep walk of
-// the decoded DP skeleton against the entry's own canonical encoding —
-// so a snapshot that passes the container checksum but disagrees with
-// itself still loads as nothing rather than as a crash or a wrong hit.
+// nodeDP or the canonical shape encoding must bump it so old snapshots
+// are rejected (cold boot) instead of misread. Decoding validates every
+// structural invariant rebindDP and reconstruction rely on — table
+// geometry, choice kinds, and a full lockstep walk of the decoded DP
+// skeleton against the entry's own canonical encoding — so a snapshot
+// that passes the container checksum but disagrees with itself still
+// loads as nothing rather than as a crash or a wrong hit.
 // After restore, the normal verification-on-hit (byte-comparing the
 // canonical encoding against the live tree) applies unchanged.
 
 // shapeSnapshotNamespace identifies the payload codec. Bump on any
 // incompatible change to the encodings in this file or the structures
 // they serialize.
-const shapeSnapshotNamespace = "chortle-shape-v1"
+const shapeSnapshotNamespace = "chortle-shape-v2"
 
 // errBadShapePayload rejects a structurally invalid entry payload.
 var errBadShapePayload = errors.New("core: invalid shape snapshot payload")
@@ -39,18 +37,16 @@ var errBadShapePayload = errors.New("core: invalid shape snapshot payload")
 // decode bounds, applied before allocation so corrupted length fields
 // cannot drive memory growth or unbounded recursion.
 const (
-	maxSnapDPNodes   = 1 << 20
-	maxSnapTableLen  = 1 << 24
-	maxSnapTemplates = maxSharedTemplates
-	maxSnapLUTs      = 1 << 16
-	maxSnapStride    = 64
+	maxSnapDPNodes  = 1 << 20
+	maxSnapTableLen = 1 << 24
+	maxSnapStride   = 64
 )
 
 // WriteSnapshot serializes every resident shape to w in the versioned,
 // checksummed container format. The snapshot is a warm start for a
-// later process: restoring it recovers solved DP tables and emission
-// templates, not correctness-critical state — a lost or rejected
-// snapshot only costs cold-cache latency.
+// later process: restoring it recovers solved DP tables, not
+// correctness-critical state — a lost or rejected snapshot only costs
+// cold-cache latency.
 func (c *SharedShapeCache) WriteSnapshot(w io.Writer) error {
 	return c.cache.Snapshot(w, shapeSnapshotNamespace, func(v any) ([]byte, error) {
 		ss, ok := v.(*sharedShape)
@@ -66,10 +62,7 @@ func (c *SharedShapeCache) WriteSnapshot(w io.Writer) error {
 // validated before anything is inserted: any truncation, corruption,
 // version or namespace mismatch, or structurally invalid entry rejects
 // the snapshot entirely and leaves the cache as it was, so a failed
-// boot-time restore degrades to a cold cache. Restored entries carry no
-// storage handle, so templates they accept later grow unaccounted — a
-// bounded slack (maxSharedTemplates per shape), never a correctness
-// issue.
+// boot-time restore degrades to a cold cache.
 func (c *SharedShapeCache) RestoreSnapshot(r io.Reader) (int, error) {
 	return c.cache.Restore(r, shapeSnapshotNamespace, func(p []byte) (any, error) {
 		return decodeSharedShape(p)
@@ -104,22 +97,11 @@ func encodeSharedShape(ss *sharedShape) []byte {
 	b := make([]byte, 0, 256)
 	b = appendBytes(b, ss.enc)
 	b = appendUvarint(b, uint64(ss.units))
-	b = appendDP(b, ss.dp)
-	var tmpls map[string]*emitTemplate
-	if m := ss.templates.Load(); m != nil {
-		tmpls = *m
-	}
-	b = appendUvarint(b, uint64(len(tmpls)))
-	for pattern, t := range tmpls {
-		b = appendBytes(b, []byte(pattern))
-		b = appendTemplate(b, t)
-	}
-	return b
+	return appendDP(b, ss.dp)
 }
 
 func appendDP(b []byte, dp *nodeDP) []byte {
 	b = appendUvarint(b, uint64(dp.full))
-	b = appendUvarint(b, uint64(dp.nodeIdx))
 	b = appendUvarint(b, uint64(dp.stride))
 	b = appendInt32s(b, dp.g)
 	b = appendUvarint(b, uint64(len(dp.choice)))
@@ -136,29 +118,12 @@ func appendDP(b []byte, dp *nodeDP) []byte {
 	b = appendVarint(b, int64(dp.bestU))
 	b = appendUvarint(b, uint64(len(dp.fanins)))
 	for _, fr := range dp.fanins {
-		b = appendVarint(b, int64(fr.leafIdx))
 		if fr.child != nil {
 			b = append(b, 1)
 			b = appendDP(b, fr.child)
 		} else {
 			b = append(b, 0)
 		}
-	}
-	return b
-}
-
-func appendTemplate(b []byte, t *emitTemplate) []byte {
-	b = appendInt32s(b, t.freshes)
-	b = appendUvarint(b, uint64(len(t.luts)))
-	for i := range t.luts {
-		l := &t.luts[i]
-		b = appendVarint(b, int64(l.nameRef))
-		b = appendInt32s(b, l.inputs)
-		b = appendUvarint(b, l.table.Bits)
-		b = appendUvarint(b, uint64(l.table.N))
-		b = appendInt32s(b, l.covers)
-		b = appendVarint(b, int64(l.partIdx))
-		b = appendBytes(b, []byte(l.shape))
 	}
 	return b
 }
@@ -265,25 +230,6 @@ func decodeSharedShape(p []byte) (*sharedShape, error) {
 	units := r.uvarint()
 	var nodes int
 	dp := decodeDP(r, &nodes)
-	ntmpl := r.uvarint()
-	if r.err != nil {
-		return nil, r.err
-	}
-	if ntmpl > maxSnapTemplates {
-		return nil, errBadShapePayload
-	}
-	var tmpls map[string]*emitTemplate
-	if ntmpl > 0 {
-		tmpls = make(map[string]*emitTemplate, ntmpl)
-		for i := uint64(0); i < ntmpl; i++ {
-			pattern := string(r.bytes(1 << 16))
-			t := decodeTemplate(r)
-			if r.err != nil {
-				return nil, r.err
-			}
-			tmpls[pattern] = t
-		}
-	}
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -299,11 +245,7 @@ func decodeSharedShape(p []byte) (*sharedShape, error) {
 	if !dpMatchesEnc(enc, dp) {
 		return nil, fmt.Errorf("%w: DP skeleton disagrees with canonical encoding", errBadShapePayload)
 	}
-	ss := &sharedShape{enc: enc, dp: dp, units: int64(units)}
-	if tmpls != nil {
-		ss.templates.Store(&tmpls)
-	}
-	return ss, nil
+	return &sharedShape{enc: enc, dp: dp, units: int64(units)}, nil
 }
 
 func decodeDP(r *snapReader, nodes *int) *nodeDP {
@@ -313,10 +255,9 @@ func decodeDP(r *snapReader, nodes *int) *nodeDP {
 		return nil
 	}
 	dp := &nodeDP{
-		full:    uint32(r.uvarint()),
-		nodeIdx: int32(r.uvarint()),
-		stride:  int32(r.uvarint()),
-		g:       r.int32s(maxSnapTableLen),
+		full:   uint32(r.uvarint()),
+		stride: int32(r.uvarint()),
+		g:      r.int32s(maxSnapTableLen),
 	}
 	nchoice := r.uvarint()
 	if r.err != nil {
@@ -368,12 +309,6 @@ func decodeDP(r *snapReader, nodes *int) *nodeDP {
 	if nfan > 0 {
 		dp.fanins = make([]faninRef, nfan)
 		for i := range dp.fanins {
-			leafIdx := r.varint()
-			if leafIdx < -1 || leafIdx > 1<<31-1 {
-				r.fail()
-				return nil
-			}
-			dp.fanins[i].leafIdx = int32(leafIdx)
 			switch r.byte() {
 			case 0:
 			case 1:
@@ -407,41 +342,6 @@ func decodeDP(r *snapReader, nodes *int) *nodeDP {
 		return nil
 	}
 	return dp
-}
-
-func decodeTemplate(r *snapReader) *emitTemplate {
-	t := &emitTemplate{freshes: r.int32s(maxSnapLUTs)}
-	nluts := r.uvarint()
-	if r.err != nil {
-		return nil
-	}
-	if nluts > maxSnapLUTs {
-		r.fail()
-		return nil
-	}
-	if nluts > 0 {
-		t.luts = make([]lutSpec, nluts)
-		for i := range t.luts {
-			l := &t.luts[i]
-			l.nameRef = int32(r.varint())
-			l.inputs = r.int32s(maxSnapLUTs)
-			l.table = truth.Table{Bits: r.uvarint(), N: int(r.uvarint())}
-			l.covers = r.int32s(maxSnapLUTs)
-			l.partIdx = int32(r.varint())
-			l.shape = string(r.bytes(1 << 16))
-			if r.err != nil {
-				return nil
-			}
-			if l.table.N < 0 || l.table.N > truth.MaxVars {
-				r.fail()
-				return nil
-			}
-		}
-	}
-	if r.err != nil {
-		return nil
-	}
-	return t
 }
 
 // dpMatchesEnc walks the canonical shape encoding (see appendShapeEnc:

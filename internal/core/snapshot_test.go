@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"os"
 	"testing"
 
 	"chortle/internal/network"
+	"chortle/internal/shapecache"
 )
 
 // Snapshot/restore contract at the core level: a restored cache behaves
@@ -181,10 +184,89 @@ func TestSnapshotNamespaceMismatchRejected(t *testing.T) {
 	}
 }
 
+// leafPatternTrees builds count trees of one shape whose six leaf edges
+// draw on a pool of four inputs, so many trees share the shape under
+// different leaf-coincidence patterns. The two leaves under one gate
+// stay distinct.
+func leafPatternTrees(count int, seed int64) *network.Network {
+	rng := rand.New(rand.NewSource(seed))
+	nw := network.New("patterns")
+	var pool []*network.Node
+	for j := 0; j < 4; j++ {
+		pool = append(pool, nw.AddInput(inName(j)))
+	}
+	pair := func() (*network.Node, *network.Node) {
+		p := rng.Perm(len(pool))
+		return pool[p[0]], pool[p[1]]
+	}
+	for i := 0; i < count; i++ {
+		p := "t" + inName(i) + "_"
+		a, b := pair()
+		c, d := pair()
+		l1 := nw.AddGate(p+"l1", network.OpAnd, network.Fanin{Node: a}, network.Fanin{Node: b, Invert: true})
+		l2 := nw.AddGate(p+"l2", network.OpOr, network.Fanin{Node: c}, network.Fanin{Node: d})
+		l3 := nw.AddGate(p+"l3", network.OpAnd,
+			network.Fanin{Node: l1}, network.Fanin{Node: l2}, network.Fanin{Node: pool[rng.Intn(len(pool))]})
+		root := nw.AddGate(p+"root", network.OpOr,
+			network.Fanin{Node: l3}, network.Fanin{Node: pool[rng.Intn(len(pool))], Invert: true})
+		nw.MarkOutput(p+"y", root, false)
+	}
+	return nw
+}
+
+// TestSnapshotBytesDeterministic writes one warm cache 20 times and
+// requires the same bytes every time: a snapshot is a pure function of
+// the resident shapes and their LRU order.
+func TestSnapshotBytesDeterministic(t *testing.T) {
+	nw := leafPatternTrees(60, 5)
+	cache := NewSharedShapeCache(SharedCacheConfig{})
+	for k := 2; k <= 4; k++ {
+		opts := DefaultOptions(k)
+		opts.SharedCache = cache
+		for i := 0; i < 2; i++ {
+			if _, err := Map(nw, opts); err != nil {
+				t.Fatalf("K=%d map %d: %v", k, i, err)
+			}
+		}
+	}
+	var first []byte
+	for i := 0; i < 20; i++ {
+		var snap bytes.Buffer
+		if err := cache.WriteSnapshot(&snap); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = snap.Bytes()
+		} else if !bytes.Equal(snap.Bytes(), first) {
+			t.Fatalf("write %d of one cache differs from the first", i)
+		}
+	}
+}
+
+// TestSnapshotV1Refused restores a snapshot written by the
+// chortle-shape-v1 codec, which also carried emission templates and
+// preorder indices: the namespace check refuses it whole and the cache
+// stays empty, so a server booting from it starts cold.
+func TestSnapshotV1Refused(t *testing.T) {
+	f, err := os.Open("testdata/shape_snapshot_v1.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	c := NewSharedShapeCache(SharedCacheConfig{})
+	n, err := c.RestoreSnapshot(f)
+	if !errors.Is(err, shapecache.ErrSnapshotNamespace) {
+		t.Fatalf("v1 snapshot: restored %d shapes with error %v, want a namespace refusal", n, err)
+	}
+	if c.Len() != 0 {
+		t.Fatalf("cache holds %d shapes after the refusal", c.Len())
+	}
+}
+
 func TestSharedShapeCodecRoundTrip(t *testing.T) {
 	// Exercise the codec directly on cache-resident entries: every
-	// encoded shape must decode to an equal encoding, DP geometry, and
-	// template set.
+	// encoded shape must decode to an equal encoding, units and DP
+	// tables.
 	rng := rand.New(rand.NewSource(23))
 	cache := NewSharedShapeCache(SharedCacheConfig{})
 	for _, nw := range []*network.Network{identicalTrees(6), randomDAG(rng, 7, 30)} {
@@ -226,7 +308,7 @@ func sameDPShape(a, b *nodeDP) bool {
 	if a == nil {
 		return true
 	}
-	if a.full != b.full || a.nodeIdx != b.nodeIdx || a.stride != b.stride ||
+	if a.full != b.full || a.stride != b.stride ||
 		a.bestCost != b.bestCost || a.bestU != b.bestU ||
 		len(a.g) != len(b.g) || len(a.choice) != len(b.choice) ||
 		len(a.mmBest) != len(b.mmBest) || len(a.mmBestU) != len(b.mmBestU) ||
@@ -244,9 +326,6 @@ func sameDPShape(a, b *nodeDP) bool {
 		}
 	}
 	for i := range a.fanins {
-		if a.fanins[i].leafIdx != b.fanins[i].leafIdx {
-			return false
-		}
 		if !sameDPShape(a.fanins[i].child, b.fanins[i].child) {
 			return false
 		}

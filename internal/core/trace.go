@@ -81,13 +81,6 @@ func (t tracer) memoHit(tree string, cost int32) {
 	t.o.Observe(obs.Event{Kind: obs.KindMemoHit, Time: time.Now(), Tree: tree, Cost: int(cost)})
 }
 
-func (t tracer) templateReplay(tree string) {
-	if t.o == nil {
-		return
-	}
-	t.o.Observe(obs.Event{Kind: obs.KindTemplateReplay, Time: time.Now(), Tree: tree})
-}
-
 func (t tracer) budgetExhausted(tree string, limit int64) {
 	if t.o == nil {
 		return

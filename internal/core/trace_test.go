@@ -25,7 +25,6 @@ func TestTracerNoopZeroAlloc(t *testing.T) {
 		tr.mapStart(4, 100)
 		tr.treeSolve("tree", 123, 4, tr.now())
 		tr.memoHit("tree", 4)
-		tr.templateReplay("tree")
 		tr.budgetExhausted("tree", 1000)
 		tr.treeDegraded("tree", 5)
 		tr.arenaStats(2, 4096)

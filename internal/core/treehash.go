@@ -39,14 +39,14 @@ func hashStep(h, v uint64) uint64 {
 	return h
 }
 
-// shapeSeed folds the option fields the cached solve and emission depend
-// on into the hash, so one memo table — and, through the shared cache,
-// one cross-run namespace — could never conflate runs whose results
-// would differ. Beyond K and the decomposition ablation it folds the
-// work-unit budget (which shapes degrade is a deterministic function of
-// the limit, and degradation must be identical warm or cold) and the
-// provenance flag (templates recorded without provenance carry no
-// ancestry payload and must not be replayed into a run that wants one).
+// shapeSeed folds the option fields the cached solve depends on into the
+// hash, so one memo table — and, through the shared cache, one cross-run
+// namespace — could never conflate runs whose results would differ.
+// Beyond K and the decomposition ablation it folds the work-unit budget:
+// which shapes degrade is a deterministic function of the limit, and
+// degradation must be identical warm or cold. Provenance is not folded:
+// the DP tables do not depend on it, so a provenance run reuses shapes
+// that a plain run published.
 func shapeSeed(opts Options) uint64 {
 	h := hashStep(hashBasis, uint64(opts.K))
 	if opts.DisableDecomposition {
@@ -54,13 +54,7 @@ func shapeSeed(opts Options) uint64 {
 	} else {
 		h = hashStep(h, 2)
 	}
-	h = hashStep(h, uint64(opts.Budget.WorkUnits))
-	if opts.Provenance {
-		h = hashStep(h, 7)
-	} else {
-		h = hashStep(h, 11)
-	}
-	return h
+	return hashStep(h, uint64(opts.Budget.WorkUnits))
 }
 
 // shapeInfo bundles a tree's structural hash with two invariants that

@@ -28,7 +28,7 @@ import (
 // warm shared cache produce byte-identical DOT (the full origin
 // breakdown belongs to the HTML report, which is per-run by nature).
 const (
-	colorSearched = "#cfe2f3" // exhaustive search (fresh, memo, replay)
+	colorSearched = "#cfe2f3" // exhaustive search (fresh, memo)
 	colorBinPack  = "#fff2cc" // bin-packing strategy
 	colorDegraded = "#f4cccc" // budget-degraded tree
 	colorPlain    = "#ffffff" // no provenance recorded

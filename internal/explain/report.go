@@ -133,7 +133,7 @@ func originChart(origins map[string]int) template.HTML {
 	if len(origins) == 0 {
 		return ""
 	}
-	order := []string{"fresh", "memo", "replay", "binpack", "degraded", "unknown"}
+	order := []string{"fresh", "memo", "binpack", "degraded", "unknown"}
 	var items []barItem
 	for _, name := range order {
 		if n := origins[name]; n > 0 {
@@ -217,7 +217,7 @@ pre { background: #f4f6f8; padding: 0.7rem; overflow-x: auto; font-size: 0.8rem;
 <h3>Phase wall times</h3>
 {{phaseChart .}}
 {{if .TimedSolves}}<p class="statline">solve times over {{.TimedSolves}} timed solves: p50 {{dur .SolveP50}}, p95 {{dur .SolveP95}}, p99 {{dur .SolveP99}}</p>{{end}}
-<p class="statline">{{.Solves}} solves, {{.WorkUnits}} work units, {{.MemoHits}} memo hits, {{.TemplateReplays}} template replays</p>
+<p class="statline">{{.Solves}} solves, {{.WorkUnits}} work units, {{.MemoHits}} memo hits</p>
 {{if .LUTInputHist}}<h3>LUT input usage</h3>
 {{histChart .LUTInputHist "inputs"}}{{end}}
 {{if .LUTDepthHist}}<h3>LUT levels</h3>

@@ -9,8 +9,8 @@ import (
 // Per-LUT provenance: the algorithm-level "why" behind every emitted
 // lookup table. The mapper records, for each LUT, which network gate
 // nodes it absorbed, which decomposition shape the DP chose at its
-// root, how the owning tree was realized (fresh solve, memo reuse,
-// template replay, bin packing, budget degradation), and how much
+// root, how the owning tree was realized (fresh solve, memo reuse, bin
+// packing, budget degradation), and how much
 // search effort the tree's solve metered. Recording is opt-in
 // (core.Options.Provenance) and strictly passive — the mapped circuit
 // is byte-identical with or without it — but the records ride on the
@@ -29,9 +29,6 @@ const (
 	// OriginMemo marks a tree that reused the DP tables of a
 	// structurally identical tree solved earlier in the same run.
 	OriginMemo
-	// OriginReplay marks a tree emitted by replaying a recorded
-	// emission template (the fast half of a memo hit).
-	OriginReplay
 	// OriginBinPack marks a tree mapped with the Chortle-crf-style
 	// first-fit-decreasing strategy (Options.Strategy).
 	OriginBinPack
@@ -47,7 +44,6 @@ var originNames = [...]string{
 	OriginUnknown:  "unknown",
 	OriginFresh:    "fresh",
 	OriginMemo:     "memo",
-	OriginReplay:   "replay",
 	OriginBinPack:  "binpack",
 	OriginDegraded: "degraded",
 	OriginCut:      "cut",
@@ -62,11 +58,11 @@ func (o Origin) String() string {
 
 // Searched reports whether the LUT's structure came out of the
 // exhaustive decomposition search (directly or via verified reuse) as
-// opposed to bin packing. Memo hits and template replays reproduce the
-// exact decisions of a fresh solve, so they count as searched — this is
-// the mode-independent classification the DOT exporter colors by.
+// opposed to bin packing. Memo hits reproduce the exact decisions of a
+// fresh solve, so they count as searched — this is the mode-independent
+// classification the DOT exporter colors by.
 func (o Origin) Searched() bool {
-	return o == OriginFresh || o == OriginMemo || o == OriginReplay
+	return o == OriginFresh || o == OriginMemo
 }
 
 // Provenance is the recorded ancestry of one LUT.
@@ -97,7 +93,7 @@ type Provenance struct {
 	// input order) — the LUT-to-LUT edges of the mapped circuit.
 	FaninLUTs []string
 	// WorkUnits is the search effort the owning tree's DP solve
-	// metered. Zero for reused solves (memo, replay) and for the
+	// metered. Zero for reused solves (memo) and for the
 	// unmetered packing paths.
 	WorkUnits int64
 }

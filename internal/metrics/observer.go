@@ -41,7 +41,6 @@ type Observer struct {
 	solveDur   *Histogram
 	workUnits  *Counter
 	memoHits   *Counter
-	replays    *Counter
 	budgetHits *Counter
 	degraded   *Counter
 	dups       *Counter
@@ -84,7 +83,6 @@ func NewObserver(reg *Registry) *Observer {
 		solveDur:      reg.Histogram("chortle_solve_duration_seconds", "Wall time of per-tree DP solves.", nil),
 		workUnits:     reg.Counter("chortle_work_units_total", "Governor-metered DP search work units."),
 		memoHits:      reg.Counter("chortle_memo_hits_total", "Trees that reused another tree's DP solve."),
-		replays:       reg.Counter("chortle_template_replays_total", "Trees emitted by replaying a recorded template."),
 		budgetHits:    reg.Counter("chortle_budget_trips_total", "Solves that exhausted their search budget."),
 		degraded:      reg.Counter("chortle_degraded_trees_total", "Trees remapped with bin packing after budget exhaustion."),
 		dups:          reg.Counter("chortle_dup_accepted_total", "Profitable duplications committed by the cost-aware search."),
@@ -198,8 +196,6 @@ func (o *Observer) Observe(e obs.Event) {
 		}
 	case obs.KindMemoHit:
 		o.memoHits.Inc()
-	case obs.KindTemplateReplay:
-		o.replays.Inc()
 	case obs.KindBudgetExhausted:
 		o.budgetHits.Inc()
 	case obs.KindTreeDegraded:

@@ -19,7 +19,6 @@ func stream(t0 time.Time) []obs.Event {
 		{Kind: obs.KindTreeSolve, Tree: "a", Units: 10, Cost: 2, Dur: 200 * time.Microsecond},
 		{Kind: obs.KindTreeSolve, Tree: "b", Units: 30, Cost: 3, Dur: 400 * time.Microsecond},
 		{Kind: obs.KindMemoHit, Tree: "c", Cost: 2},
-		{Kind: obs.KindTemplateReplay, Tree: "c"},
 		{Kind: obs.KindBudgetExhausted, Tree: "d", Units: 100},
 		{Kind: obs.KindTreeDegraded, Tree: "d", Cost: 5},
 		{Kind: obs.KindLUT, Tree: "l1", N: 4, Depth: 1},
@@ -38,15 +37,14 @@ func TestObserverBridge(t *testing.T) {
 		o.Observe(e)
 	}
 	checks := map[string]float64{
-		"chortle_maps_total":             1,
-		"chortle_tree_solves_total":      2,
-		"chortle_work_units_total":       40,
-		"chortle_memo_hits_total":        1,
-		"chortle_template_replays_total": 1,
-		"chortle_budget_trips_total":     1,
-		"chortle_degraded_trees_total":   1,
-		"chortle_dup_accepted_total":     1,
-		"chortle_luts_emitted_total":     2,
+		"chortle_maps_total":           1,
+		"chortle_tree_solves_total":    2,
+		"chortle_work_units_total":     40,
+		"chortle_memo_hits_total":      1,
+		"chortle_budget_trips_total":   1,
+		"chortle_degraded_trees_total": 1,
+		"chortle_dup_accepted_total":   1,
+		"chortle_luts_emitted_total":   2,
 	}
 	for name, want := range checks {
 		if got := reg.Counter(name, "").Value(); got != want {

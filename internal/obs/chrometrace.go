@@ -16,10 +16,10 @@ import (
 // (which carry wall durations and overlap under the parallel pipeline)
 // are laid out on as many "solver lane" tracks as their true
 // concurrency requires — lane count is a lower bound on the worker
-// parallelism the run achieved. Memo hits, template replays, budget
-// trips, degradations and accepted duplications appear as instant
-// markers; per-LUT detail is deliberately omitted (a large run emits
-// tens of thousands of LUT events, which would drown the viewer).
+// parallelism the run achieved. Memo hits, budget trips, degradations
+// and accepted duplications appear as instant markers; per-LUT detail
+// is deliberately omitted (a large run emits tens of thousands of LUT
+// events, which would drown the viewer).
 
 // ReadJSONL parses a JSONL trace (the cmd/chortle -trace format, one
 // Event per line) back into events. Blank lines are skipped; a
@@ -145,8 +145,6 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 			}
 		case KindMemoHit:
 			instant(e, "memo-hit "+e.Tree, map[string]any{"cost": e.Cost})
-		case KindTemplateReplay:
-			instant(e, "template-replay "+e.Tree, nil)
 		case KindBudgetExhausted:
 			instant(e, "budget-exhausted "+e.Tree, map[string]any{"limit": e.Units})
 		case KindTreeDegraded:

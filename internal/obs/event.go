@@ -44,9 +44,6 @@ const (
 	// structurally identical tree solved earlier in the same run.
 	// Cost is the shared solve's LUT count.
 	KindMemoHit
-	// KindTemplateReplay records a tree emitted by replaying a recorded
-	// template (the fast half of a memo hit).
-	KindTemplateReplay
 	// KindBudgetExhausted records a solve that tripped its search
 	// budget; Units carries the budget's work-unit limit.
 	KindBudgetExhausted
@@ -84,7 +81,6 @@ var kindNames = [...]string{
 	KindPhaseEnd:        "phase-end",
 	KindTreeSolve:       "tree-solve",
 	KindMemoHit:         "memo-hit",
-	KindTemplateReplay:  "template-replay",
 	KindBudgetExhausted: "budget-exhausted",
 	KindTreeDegraded:    "tree-degraded",
 	KindLUT:             "lut",

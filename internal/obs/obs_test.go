@@ -148,7 +148,6 @@ func TestAggregate(t *testing.T) {
 		{Kind: KindTreeSolve, Tree: "a", Units: 10, Cost: 2},
 		{Kind: KindTreeSolve, Tree: "b", Units: 30, Cost: 2},
 		{Kind: KindMemoHit, Tree: "c", Cost: 2},
-		{Kind: KindTemplateReplay, Tree: "c"},
 		{Kind: KindBudgetExhausted, Tree: "d", Units: 100},
 		{Kind: KindTreeDegraded, Tree: "d", Cost: 5},
 		{Kind: KindLUT, Tree: "a$l1", N: 4, Depth: 1},
@@ -171,8 +170,8 @@ func TestAggregate(t *testing.T) {
 	if r.Solves != 2 || r.WorkUnits != 40 {
 		t.Errorf("solves=%d units=%d", r.Solves, r.WorkUnits)
 	}
-	if r.MemoHits != 1 || r.TemplateReplays != 1 {
-		t.Errorf("memo hits=%d replays=%d", r.MemoHits, r.TemplateReplays)
+	if r.MemoHits != 1 {
+		t.Errorf("memo hits=%d", r.MemoHits)
 	}
 	if want := 1.0 / 3; r.MemoHitRate() != want {
 		t.Errorf("hit rate %f, want %f", r.MemoHitRate(), want)

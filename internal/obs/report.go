@@ -36,12 +36,10 @@ type Report struct {
 	Phases []PhaseStat
 
 	// Solves counts tree DP solves; WorkUnits sums their metered search
-	// effort. MemoHits counts trees that reused another tree's solve,
-	// TemplateReplays the subset that also replayed a recorded emission.
-	Solves          int
-	WorkUnits       int64
-	MemoHits        int
-	TemplateReplays int
+	// effort. MemoHits counts trees that reused another tree's solve.
+	Solves    int
+	WorkUnits int64
+	MemoHits  int
 
 	// SolveP50/P95/P99 are percentiles of the per-tree DP solve wall
 	// times, over the solves that carried a duration (TimedSolves of
@@ -133,8 +131,6 @@ func Aggregate(events []Event) *Report {
 		case KindMemoHit:
 			r.MemoHits++
 			r.TreeCostHist[e.Cost]++
-		case KindTemplateReplay:
-			r.TemplateReplays++
 		case KindBudgetExhausted:
 			r.BudgetTrips++
 		case KindTreeDegraded:
@@ -211,8 +207,7 @@ func (r *Report) Format() string {
 	}
 	fmt.Fprintf(&sb, "search: %d solves, %d work units", r.Solves, r.WorkUnits)
 	if r.MemoHits+r.Solves > 0 {
-		fmt.Fprintf(&sb, ", %d memo hits (%.1f%% hit rate, %d template replays)",
-			r.MemoHits, 100*r.MemoHitRate(), r.TemplateReplays)
+		fmt.Fprintf(&sb, ", %d memo hits (%.1f%% hit rate)", r.MemoHits, 100*r.MemoHitRate())
 	}
 	sb.WriteByte('\n')
 	if r.TimedSolves > 0 {

@@ -9,7 +9,7 @@ import (
 // Slog bridges the event stream to a standard library structured
 // logger: run-level events (map brackets, phase ends, budget trips,
 // degradations, arena stats) log at Info, per-tree chatter (solves,
-// memo hits, replays, per-LUT detail) at Debug — so a logger at Info
+// memo hits, per-LUT detail) at Debug — so a logger at Info
 // narrates a run in a dozen lines and -v opens the firehose. Like every
 // sink it is passive, and slog.Logger is concurrency-safe, so the
 // bridge needs no locking of its own.
@@ -67,7 +67,7 @@ func (s *Slog) Observe(e Event) {
 	case KindMemoHit, KindTreeDegraded:
 		add(slog.String("tree", e.Tree))
 		add(slog.Int("cost", e.Cost))
-	case KindTemplateReplay, KindDupAccepted:
+	case KindDupAccepted:
 		add(slog.String("tree", e.Tree))
 	case KindBudgetExhausted:
 		add(slog.String("tree", e.Tree))

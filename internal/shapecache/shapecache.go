@@ -3,14 +3,13 @@
 // structural hashes to opaque values, with per-shard LRU eviction and
 // entry+byte cost accounting.
 //
-// The package is deliberately generic — it knows nothing about trees,
-// DP tables or emission templates. Hash collisions are the caller's
-// problem by design: every bucket holds all values that hashed to the
-// same key, and both Get and Put take a match predicate that performs
-// full verification (in core's case, comparing canonical shape
-// encodings). A collision therefore degrades to a miss, never to wrong
-// reuse — the same invariant the per-run shape memo upholds, now under
-// concurrency.
+// The package is deliberately generic — it knows nothing about trees or
+// DP tables. Hash collisions are the caller's problem by design: every
+// bucket holds all values that hashed to the same key, and both Get and
+// Put take a match predicate that performs full verification (in core's
+// case, comparing canonical shape encodings). A collision therefore
+// degrades to a miss, never to wrong reuse — the same invariant the
+// per-run shape memo upholds, now under concurrency.
 //
 // Locking is per shard (a power-of-two count, selected by a mixed view
 // of the hash), so concurrent mapping runs contend only when they touch
@@ -62,7 +61,6 @@ type entry struct {
 	val        any
 	cost       int64
 	prev, next *entry
-	dead       bool // evicted; Handle.Grow becomes a no-op
 }
 
 type shard struct {
@@ -152,11 +150,10 @@ func (c *Cache) Get(h uint64, match func(v any) bool) (any, bool) {
 // Put inserts v under h with the given accounted cost, unless a value
 // already resident under h is accepted by match — two runs publishing
 // the same shape race benignly, and the first insert wins. It returns
-// the resident value (v or the earlier winner) and a Handle for later
-// cost adjustments. Inserting may evict least-recently-used entries to
-// keep the shard within bounds; the newly inserted entry is never the
-// eviction victim of its own insert.
-func (c *Cache) Put(h uint64, v any, cost int64, match func(v any) bool) (any, Handle) {
+// the resident value (v or the earlier winner). Inserting may evict
+// least-recently-used entries to keep the shard within bounds; the newly
+// inserted entry is never the eviction victim of its own insert.
+func (c *Cache) Put(h uint64, v any, cost int64, match func(v any) bool) any {
 	if cost < 0 {
 		cost = 0
 	}
@@ -166,7 +163,7 @@ func (c *Cache) Put(h uint64, v any, cost int64, match func(v any) bool) (any, H
 	for _, e := range s.buckets[h] {
 		if match(e.val) {
 			s.touch(e)
-			return e.val, Handle{c: c, s: s, e: e}
+			return e.val
 		}
 	}
 	e := &entry{hash: h, val: v, cost: cost}
@@ -176,7 +173,7 @@ func (c *Cache) Put(h uint64, v any, cost int64, match func(v any) bool) (any, H
 	s.bytes += cost
 	c.puts.Add(1)
 	s.evictLocked(c)
-	return v, Handle{c: c, s: s, e: e}
+	return v
 }
 
 // evictLocked trims the shard to its bounds, least recently used first,
@@ -190,7 +187,6 @@ func (s *shard) evictLocked(c *Cache) {
 		}
 		s.unlink(victim)
 		s.removeFromBucket(victim)
-		victim.dead = true
 		s.entries--
 		s.bytes -= victim.cost
 		c.evictions.Add(1)
@@ -244,33 +240,6 @@ func (s *shard) touch(e *entry) {
 	}
 	s.unlink(e)
 	s.pushFront(e)
-}
-
-// Handle names one resident entry so its accounted cost can grow after
-// insertion (core uses this when templates are published onto an
-// already-cached shape). The zero Handle is a valid no-op.
-type Handle struct {
-	c *Cache
-	s *shard
-	e *entry
-}
-
-// Grow adds delta to the entry's accounted cost and re-applies the
-// shard bounds. If the entry has been evicted, Grow does nothing — the
-// caller may keep using its value (eviction only removes residency),
-// but no further bytes are accounted.
-func (h Handle) Grow(delta int64) {
-	if h.s == nil || delta == 0 {
-		return
-	}
-	h.s.mu.Lock()
-	defer h.s.mu.Unlock()
-	if h.e.dead {
-		return
-	}
-	h.e.cost += delta
-	h.s.bytes += delta
-	h.s.evictLocked(h.c)
 }
 
 // Stats snapshots the cache counters and resident totals. Entries and

@@ -15,7 +15,7 @@ func TestGetPutBasics(t *testing.T) {
 	if _, ok := c.Get(1, matchVal("a")); ok {
 		t.Fatalf("empty cache returned a value")
 	}
-	v, _ := c.Put(1, "a", 10, matchVal("a"))
+	v := c.Put(1, "a", 10, matchVal("a"))
 	if v != "a" {
 		t.Fatalf("Put returned %v, want a", v)
 	}
@@ -55,7 +55,7 @@ func TestCollisionBucket(t *testing.T) {
 func TestPutFirstInsertWins(t *testing.T) {
 	c := New(Config{})
 	c.Put(3, "first", 5, matchVal("first"))
-	res, _ := c.Put(3, "first", 5, func(v any) bool { return v.(string) == "first" })
+	res := c.Put(3, "first", 5, func(v any) bool { return v.(string) == "first" })
 	if res != "first" {
 		t.Fatalf("second Put returned %v", res)
 	}
@@ -121,29 +121,6 @@ func TestLRUTouchOnGet(t *testing.T) {
 	}
 }
 
-func TestHandleGrow(t *testing.T) {
-	c := New(Config{Shards: 1, MaxEntries: 10, MaxBytes: 100})
-	_, h1 := c.Put(1, "a", 40, matchVal("a"))
-	c.Put(2, "b", 40, matchVal("b"))
-	h1.Grow(50) // 130 > 100: b (LRU after a's touch via Put-match? no — a grew, b is older MRU)
-	st := c.Stats()
-	if st.Bytes > 100 && st.Entries > 1 {
-		t.Fatalf("Grow left shard over budget with multiple entries: %+v", st)
-	}
-	// Growing an evicted entry is a silent no-op.
-	c2 := New(Config{Shards: 1, MaxEntries: 1})
-	_, hOld := c2.Put(1, "old", 1, matchVal("old"))
-	c2.Put(2, "new", 1, matchVal("new")) // evicts old
-	before := c2.Stats().Bytes
-	hOld.Grow(1000)
-	if got := c2.Stats().Bytes; got != before {
-		t.Fatalf("Grow on evicted entry changed accounting: %d -> %d", before, got)
-	}
-	// The zero Handle is a no-op.
-	var zero Handle
-	zero.Grow(123)
-}
-
 func TestConcurrentAccess(t *testing.T) {
 	c := New(Config{Shards: 8, MaxEntries: 256, MaxBytes: 1 << 20})
 	var wg sync.WaitGroup
@@ -160,12 +137,11 @@ func TestConcurrentAccess(t *testing.T) {
 						return
 					}
 				} else {
-					res, hnd := c.Put(h, want, int64(i%7)+1, matchVal(want))
+					res := c.Put(h, want, int64(i%7)+1, matchVal(want))
 					if res.(string) != want {
 						t.Errorf("goroutine %d: Put resident %v for hash %d", g, res, h)
 						return
 					}
-					hnd.Grow(1)
 				}
 			}
 		}(g)
@@ -180,16 +156,13 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 }
 
-// Accounting must balance: after any mix of puts, growth and evictions,
+// Accounting must balance: after any mix of puts and evictions,
 // resident bytes equal the sum of resident entry costs.
 func TestAccountingConsistency(t *testing.T) {
 	c := New(Config{Shards: 2, MaxEntries: 8, MaxBytes: 200})
 	for i := 0; i < 50; i++ {
 		s := fmt.Sprint(i)
-		_, h := c.Put(uint64(i), s, int64(10+i%20), matchVal(s))
-		if i%3 == 0 {
-			h.Grow(int64(i % 11))
-		}
+		c.Put(uint64(i), s, int64(10+i%20), matchVal(s))
 	}
 	var wantBytes int64
 	var wantEntries int64

@@ -281,7 +281,6 @@ func (c *Cache) Shed(fraction float64) int {
 			}
 			s.unlink(victim)
 			s.removeFromBucket(victim)
-			victim.dead = true
 			s.entries--
 			s.bytes -= victim.cost
 			c.evictions.Add(1)
