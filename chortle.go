@@ -158,6 +158,9 @@ func MapBaseline(nw *Network, k int) (res *BaselineResult, err error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := nw.Validate(); err != nil {
+		return nil, err
+	}
 	return mismap.Map(nw, lib)
 }
 

@@ -20,12 +20,15 @@ import (
 // buildDPIn assign whole structs).
 type dpArena struct {
 	i32   []int32
-	ch    []gChoice
 	i8    []int8
 	nodes []nodeDP
 	frs   []faninRef
 
-	oI32, oCh, oI8, oNodes, oFrs int
+	oI32, oI8, oNodes, oFrs int
+
+	// scratch holds one node's class tables while compute runs; every
+	// compute reuses it from the start.
+	scratch []int32
 }
 
 var arenaPool = sync.Pool{New: func() any { return new(dpArena) }}
@@ -60,7 +63,7 @@ func (a *dpArena) release() {
 // reset is only safe once they are no longer needed (or the arena was
 // freshly acquired).
 func (a *dpArena) reset() {
-	a.oI32, a.oCh, a.oI8, a.oNodes, a.oFrs = 0, 0, 0, 0, 0
+	a.oI32, a.oI8, a.oNodes, a.oFrs = 0, 0, 0, 0
 }
 
 // grown returns a slab length that amortizes regrowth: at least need,
@@ -81,8 +84,7 @@ func grown(old, need, floor int) int {
 // the observability layer's arena-stats event carries. Capacity, not
 // use: recycled slabs keep their high-water size.
 func (a *dpArena) slabBytes() int64 {
-	return int64(len(a.i32))*int64(unsafe.Sizeof(int32(0))) +
-		int64(len(a.ch))*int64(unsafe.Sizeof(gChoice{})) +
+	return int64(len(a.i32)+len(a.scratch))*int64(unsafe.Sizeof(int32(0))) +
 		int64(len(a.i8)) +
 		int64(len(a.nodes))*int64(unsafe.Sizeof(nodeDP{})) +
 		int64(len(a.frs))*int64(unsafe.Sizeof(faninRef{}))
@@ -98,14 +100,13 @@ func (a *dpArena) allocI32(n int) []int32 {
 	return s
 }
 
-func (a *dpArena) allocChoice(n int) []gChoice {
-	if a.oCh+n > len(a.ch) {
-		a.ch = make([]gChoice, grown(len(a.ch), n, 4096))
-		a.oCh = 0
+// scratchI32 returns the scratch slab's first n cells, which stay valid
+// until the next call.
+func (a *dpArena) scratchI32(n int) []int32 {
+	if n > len(a.scratch) {
+		a.scratch = make([]int32, grown(len(a.scratch), n, 1024))
 	}
-	s := a.ch[a.oCh : a.oCh+n : a.oCh+n]
-	a.oCh += n
-	return s
+	return a.scratch[:n]
 }
 
 func (a *dpArena) allocI8(n int) []int8 {

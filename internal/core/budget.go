@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"chortle/internal/cerrs"
@@ -22,10 +23,10 @@ import (
 // a valid circuit and knows which parts of it are best-effort.
 //
 // Cancellation is separate and hard: a Done context makes Map return
-// its error promptly, with no circuit. Both signals reach the inner
-// loops the same way — a governor charged once per DP subset row
-// panics with *solveAbort, which solveDP converts back into an error
-// at the tree boundary.
+// its error promptly, with no circuit. Both signals reach the solve
+// the same way — a governor charged for every DP node's subset rows
+// before the node is solved panics with *solveAbort, which solveDP
+// converts back into an error at the tree boundary.
 
 // Budget bounds the exhaustive decomposition search. The zero value
 // means unlimited. Budgets never make a mapping fail: exhausted trees
@@ -50,7 +51,7 @@ func (b Budget) active() bool { return b.WorkUnits > 0 || b.WallClock > 0 }
 
 // govCheckInterval is how many work units a governor accumulates
 // between deadline/cancellation probes; it keeps time.Now and ctx.Err
-// off the per-subset fast path.
+// off the per-row charges.
 const govCheckInterval = 8192
 
 // governor meters one tree solve. It is single-goroutine (each solve
@@ -69,7 +70,7 @@ type solveAbort struct{ err error }
 
 // charge adds n work units and, every govCheckInterval units, probes
 // the cancellation and budget conditions, panicking with *solveAbort
-// when one has tripped. compute calls it once per subset row.
+// when one has tripped.
 func (g *governor) charge(n int64) {
 	if g == nil {
 		return
@@ -90,6 +91,39 @@ func (g *governor) charge(n int64) {
 	}
 	if !g.deadline.IsZero() && time.Now().After(g.deadline) {
 		panic(&solveAbort{fmt.Errorf("wall-clock budget passed: %w", cerrs.ErrBudgetExhausted)})
+	}
+}
+
+// chargeSubsets charges the search effort of one node with f fanins:
+// one row per nonempty fanin subset S, (K+1)^2 units plus (K-1)*2^|S|
+// with the decomposition search on, in ascending subset order. A
+// governor that probes only cancellation takes the total at once (the
+// sum of 2^|S| over all subsets is 3^f); one with a work limit or a
+// deadline is charged row by row, because where its probes fall decides
+// which trees degrade.
+func (g *governor) chargeSubsets(f, K int, decomp bool) {
+	if g == nil {
+		return
+	}
+	row := int64((K + 1) * (K + 1))
+	if g.limit == 0 && g.deadline.IsZero() {
+		n := (int64(1)<<uint(f) - 1) * row
+		if decomp {
+			pow3 := int64(1)
+			for i := 0; i < f; i++ {
+				pow3 *= 3
+			}
+			n += int64(K-1) * (pow3 - 1)
+		}
+		g.charge(n)
+		return
+	}
+	for s := uint32(1); s < uint32(1)<<uint(f); s++ {
+		n := row
+		if decomp {
+			n += int64(K-1) << uint(bits.OnesCount32(s))
+		}
+		g.charge(n)
 	}
 }
 

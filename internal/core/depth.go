@@ -51,13 +51,14 @@ func dCombine(a, b dvalue) dvalue {
 
 func (v dvalue) infinite() bool { return v.arr >= infinity || v.cost >= infinity }
 
-// depthState augments a nodeDP with arrival tracking; the choice tables
-// of the embedded nodeDP are filled by the depth DP so the standard
-// reconstruction (emit.go) rebuilds the chosen circuit unchanged.
+// depthState augments a nodeDP with arrival tracking and the choices
+// the depth DP records, which the standard reconstruction (emit.go)
+// reads through mapper.recorded.
 type depthState struct {
 	*nodeDP
 	gd       [][]dvalue
 	mmBestD  []dvalue
+	choice   []gChoice // choice[s*stride+u]
 	children []*depthState
 	// bestArr is the arrival of the node's completed signal (its root
 	// LUT output) under the best mapping.
@@ -112,9 +113,9 @@ func (ds *depthState) computeDepth(opts Options, leafArr func(*network.Node) int
 	ds.full = size - 1
 	ds.gd = make([][]dvalue, size)
 	ds.mmBestD = make([]dvalue, size)
-	// The choice table shares emit.go's flat layout (choiceAt), so the
-	// standard reconstruction reads it unchanged; the depth path is cold,
-	// so plain make (zeroed, which is the correct empty choice) is fine.
+	// The choice table has the flat layout of mapper.choiceAt; the depth
+	// path is cold, so plain make (zeroed, which is the correct empty
+	// choice) is fine.
 	ds.stride = int32(K + 1)
 	ds.choice = make([]gChoice, int(size)*(K+1))
 	ds.mmBestU = make([]int8, size)
@@ -231,6 +232,17 @@ func (ds *depthState) computeDepth(opts Options, leafArr func(*network.Node) int
 	ds.bestCost = bestV.cost
 }
 
+// record files the choice table of every node of the tree under its
+// nodeDP.
+func (ds *depthState) record(rec map[*nodeDP][]gChoice) {
+	rec[ds.nodeDP] = ds.choice
+	for _, c := range ds.children {
+		if c != nil {
+			c.record(rec)
+		}
+	}
+}
+
 func errUnmappable(name string, k int) error {
 	return fmt.Errorf("core: tree %q is unmappable with K=%d (fanin too wide without decomposition?)", name, k)
 }
@@ -257,6 +269,8 @@ func (m *mapper) realizeTreeDepth(root *network.Node, arr map[*network.Node]int3
 		units = gov.units
 	}
 	m.setProvTree(root.Name, lut.OriginFresh, units)
+	m.recorded = make(map[*nodeDP][]gChoice)
+	ds.record(m.recorded)
 	sig, err := m.emitLUT(ds.nodeDP, ds.full, ds.bestU, m.rootName(root), m.provFor(ds.nodeDP))
 	if err != nil {
 		return 0, err

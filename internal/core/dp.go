@@ -40,27 +40,40 @@ import (
 // G[S][1] (|S| >= 2) covers the case where the *rest* of a parent's
 // division wraps all of S into one intermediate node: G[S][1] = mm(S).
 //
-// Candidate order and ties. For each u, the candidates for G[S][u] are
-// visited in one fixed order: the singleton placements v = 1..u, then
-// the intermediate groups d = pivot | d', with d' running over the
-// proper nonempty submasks of S minus the pivot in descending order. A
-// candidate replaces the cell only when it is strictly cheaper, so the
-// first minimum in that order wins, and it fixes the recorded choice.
-// compute enumerates each group once per subset and updates the whole
-// row u = 2..K from the contiguous row G[S &^ d][1..K-1]. It skips a
-// group whose mm(d) is already >= every cell of the row. The skip is
-// exact: every cost is >= 0, so such a group cannot be strictly cheaper
-// anywhere. Each cell therefore sees the same candidates in the same
-// order as a loop that rescans the groups for every u.
+// Fanin classes. G[S][u] depends on S only through which child edges S
+// holds and how many leaf edges: a leaf edge costs 0 as a signal and
+// can never merge, so all leaf edges of a node are interchangeable.
+// compute therefore runs the recurrence above over class states (a, T)
+// — a of the node's l leaf edges and the subset T of its c child edges
+// — instead of over fanin subsets, pivoting on a leaf while the state
+// holds one and on the lowest child otherwise. That is (l+1)*2^c states
+// and about (l+1)(l+2)/2 * 3^c group pairs instead of 2^f subsets and
+// 3^f pairs: 11 states for an all-leaf fanin-10 node. It then expands
+// the class rows into the per-subset tables g, mmBest and mmBestU, which
+// the parent (costMerge), the shape caches, snapshots and reconstruction
+// read. compute writes every cell of them, cell 0 included.
 //
-// Work units. The governor is charged once per subset row, (K+1)^2 +
+// Choices are derived, not stored. The candidates for G[S][u], u >= 2,
+// come in one fixed order: the singleton placements v = 1..u, then the
+// intermediate groups d = pivot | d', d' over the proper nonempty
+// submasks of S minus the pivot in descending order. A cell's choice is
+// the first candidate in that order whose cost equals the cell: the one
+// a search in that order that keeps only strictly cheaper candidates
+// records (the tests' reference kernel, computeRef, does). choiceAt
+// finds it by scanning that order against the finished table. G[S][1]
+// is a pin for a single fanin and the whole-S group otherwise.
+//
+// Work units. The governor is charged for every subset row, (K+1)^2 +
 // (K-1)*2^|S| units with the decomposition search on and (K+1)^2 with it
-// off. This is a budget currency, not an iteration count, so a budget
-// degrades the same trees however the loops are ordered.
+// off (chargeSubsets). This is a budget currency, not an iteration
+// count, so a budget degrades the same trees however the search is
+// organized.
 //
-// Memory layout: the G and choice tables of a node are flat slabs
-// indexed s*(K+1)+u, carved out of a per-goroutine dpArena, so building
-// a tree's DP costs O(1) allocations instead of one per subset row.
+// Memory layout: the g table of a node is a flat slab indexed
+// s*(K+1)+u, carved out of a per-goroutine dpArena with mmBest and
+// mmBestU, so building a tree's DP costs O(1) allocations instead of one
+// per subset row. The class tables live in the arena's scratch slab,
+// which every node's compute reuses.
 
 type choiceKind uint8
 
@@ -70,8 +83,9 @@ const (
 	choiceIntermediate
 )
 
-// gChoice records how the pivot fanin of a subset was placed, for
-// circuit reconstruction.
+// gChoice is how the pivot fanin of a subset is placed, for circuit
+// reconstruction: derived from the area DP's tables (choiceAt), recorded
+// by the depth DP.
 type gChoice struct {
 	kind choiceKind
 	v    int8   // singleton: utilization granted to the pivot subtree
@@ -92,12 +106,11 @@ type nodeDP struct {
 	fanins []faninRef
 	full   uint32
 
-	// stride is K+1, the row length of the flat g/choice tables.
+	// stride is K+1, the row length of the flat g table.
 	stride int32
 
-	g       []int32   // g[s*stride+u], u in 0..K
-	choice  []gChoice // choice[s*stride+u]
-	mmBest  []int32   // mm(s) = 1 + min_u g[s][u]
+	g       []int32 // g[s*stride+u], u in 0..K
+	mmBest  []int32 // mm(s) = 1 + min_u g[s][u]
 	mmBestU []int8
 
 	bestCost int32 // min_u minmap(node, u)
@@ -105,8 +118,6 @@ type nodeDP struct {
 }
 
 func (dp *nodeDP) gAt(s uint32, u int) int32 { return dp.g[int(s)*int(dp.stride)+u] }
-
-func (dp *nodeDP) choiceAt(s uint32, u int) gChoice { return dp.choice[int(s)*int(dp.stride)+u] }
 
 // buildDP constructs DP tables for the tree rooted at n (which must be a
 // gate inside the tree), recursively building children first. This
@@ -155,123 +166,159 @@ func (dp *nodeDP) costMerge(i, v int) int32 {
 	return c.gAt(c.full, v) // (1 + g) - 1
 }
 
+// compute solves the node over its fanin classes and expands the class
+// rows into the per-subset tables (see the header comment).
 func (dp *nodeDP) compute(a *dpArena, opts Options, gov *governor) {
 	f := len(dp.fanins)
 	K := opts.K
 	stride := K + 1
 	size := 1 << uint(f)
+	decomp := !opts.DisableDecomposition
 	dp.full = uint32(size - 1)
 	dp.stride = int32(stride)
-	dp.g = a.allocI32(size * stride)
-	dp.choice = a.allocChoice(size * stride)
-	dp.mmBest = a.allocI32(size)
-	dp.mmBestU = a.allocI8(size)
+	gov.chargeSubsets(f, K, decomp)
 
-	// Arena slabs are recycled, so every cell read later must be written
-	// here; the loops below cover u = 0..K for every subset.
-	g, choices := dp.g, dp.choice
-	g[0] = 0
-	choices[0] = gChoice{}
-	for u := 1; u <= K; u++ {
-		g[u] = infinity
-		choices[u] = gChoice{}
+	// Class state (na, T) — na leaf edges and the child subset T — is
+	// row na + n1*T of the class tables; w[i] is what fanin i adds to the
+	// row index of a subset holding it.
+	l := 0
+	for _, fr := range dp.fanins {
+		if fr.child == nil {
+			l++
+		}
 	}
+	n1 := l + 1
+	var w [33]int
+	var kids [32]int // fanin index of the j-th child edge
+	nc := 0
+	for i, fr := range dp.fanins {
+		if fr.child == nil {
+			w[i] = 1
+			continue
+		}
+		kids[nc] = i
+		w[i] = n1 << uint(nc)
+		nc++
+	}
+	states := n1 << uint(nc)
+	scratch := a.scratchI32(states * (stride + 2))
+	cg := scratch[:states*stride]
+	cmm := scratch[states*stride : states*(stride+1)]
+	cmu := scratch[states*(stride+1):]
 
-	for s := 1; s < size; s++ {
-		// One budget charge per subset row, sized to the row's search
-		// effort (see the header comment).
-		if gov != nil {
-			work := int64(stride * stride)
-			if !opts.DisableDecomposition {
-				work += int64(K-1) << uint(bits.OnesCount32(uint32(s)))
+	for T := 0; T < 1<<uint(nc); T++ {
+		for na := 0; na <= l; na++ {
+			st := na + n1*T
+			row := cg[st*stride : (st+1)*stride]
+			for u := range row {
+				row[u] = infinity
 			}
-			gov.charge(work)
-		}
-		row := g[s*stride : (s+1)*stride]
-		ch := choices[s*stride : (s+1)*stride]
-		row[0] = infinity
-		ch[0] = gChoice{}
-		pivot := bits.TrailingZeros32(uint32(s))
-		pbit := 1 << uint(pivot)
-		rest := s ^ pbit
-
-		// Singleton placements: the pivot takes v = 1..u of the pins.
-		var pc [truth.MaxVars + 1]int32
-		pc[1] = dp.costSignal(pivot)
-		for v := 2; v <= K; v++ {
-			pc[v] = dp.costMerge(pivot, v)
-		}
-		rr := g[rest*stride : (rest+1)*stride]
-		for u := 2; u <= K; u++ {
-			best := infinity
-			var bc gChoice
-			for v := 1; v <= u; v++ {
-				c, r := pc[v], rr[u-v]
-				if c >= infinity || r >= infinity {
-					continue
+			if st == 0 {
+				row[0] = 0
+				cmm[0], cmu[0] = infinity, 0
+				continue
+			}
+			// The pivot is a leaf while the state holds one, else its
+			// lowest child; pw is its weight in the row index.
+			var pc [truth.MaxVars + 1]int32 // pc[v]: the pivot's cost on v pins
+			pw, restA, restT := 1, na-1, T
+			if na > 0 {
+				for v := 2; v <= K; v++ {
+					pc[v] = infinity // a leaf never merges
 				}
-				if c+r < best {
-					best = c + r
-					bc = gChoice{kind: choiceSingleton, v: int8(v)}
+			} else {
+				p := bits.TrailingZeros32(uint32(T))
+				pw, restA, restT = n1<<uint(p), 0, T&^(1<<uint(p))
+				pc[1] = dp.costSignal(kids[p])
+				for v := 2; v <= K; v++ {
+					pc[v] = dp.costMerge(kids[p], v)
 				}
 			}
-			row[u] = best
-			ch[u] = bc
-		}
+			rest := st - pw
 
-		// Intermediate groups d = pivot | dr, dr over the proper nonempty
-		// submasks of rest in descending order, each updating the whole
-		// row u = 2..K from the contiguous row g[rest &^ dr][1..K-1].
-		if !opts.DisableDecomposition {
-			cur := row[2:]
-			top := slices.Max(cur)
-			for dr := (rest - 1) & rest; dr > 0; dr = (dr - 1) & rest {
-				c := dp.mmBest[dr|pbit] // dr|pbit < s, already computed
-				if c >= top {
-					continue // no cell can strictly improve: every r >= 0
-				}
-				base := (rest &^ dr) * stride
-				rem := g[base+1 : base+K]
-				hit := false
-				for i, r := range rem {
-					// c < infinity, so c+r cannot overflow, and an
-					// infeasible r (= infinity) never beats a cell.
-					if c+r < cur[i] {
-						cur[i] = c + r
-						ch[i+2] = gChoice{kind: choiceIntermediate, d: uint32(dr | pbit)}
-						hit = true
+			// Singleton placements: the pivot takes v = 1..u of the pins.
+			rr := cg[rest*stride : (rest+1)*stride]
+			for u := 2; u <= K; u++ {
+				for v := 1; v <= u; v++ {
+					if c, r := pc[v], rr[u-v]; c < infinity && r < infinity && c+r < row[u] {
+						row[u] = c + r
 					}
 				}
-				if hit {
-					top = slices.Max(cur)
+			}
+
+			// Intermediate groups: the pivot plus da leaves and the
+			// children dT of the rest, a proper part of the state. A group
+			// whose mm is already >= every cell of the row is skipped:
+			// costs are never negative, so it cannot improve any.
+			if decomp {
+				cur := row[2:]
+				top := slices.Max(cur)
+				for dT := restT; ; dT = (dT - 1) & restT {
+					for da := 0; da <= restA; da++ {
+						if (da == 0 && dT == 0) || (da == restA && dT == restT) {
+							continue
+						}
+						c := cmm[pw+da+n1*dT]
+						if c >= top {
+							continue
+						}
+						base := (rest - da - n1*dT) * stride
+						hit := false
+						for i, r := range cg[base+1 : base+K] {
+							if c+r < cur[i] {
+								cur[i] = c + r
+								hit = true
+							}
+						}
+						if hit {
+							top = slices.Max(cur)
+						}
+					}
+					if dT == 0 {
+						break
+					}
 				}
 			}
-		}
 
-		// mm(s): the cost of an intermediate node covering exactly s.
-		mb := infinity
-		var mu int8
-		for u := 2; u <= K; u++ {
-			if row[u] < infinity && row[u]+1 < mb {
-				mb = row[u] + 1
-				mu = int8(u)
+			// mm: the cost of an intermediate node covering the state.
+			mb, mu := infinity, 0
+			for u := 2; u <= K; u++ {
+				if row[u] < infinity && row[u]+1 < mb {
+					mb = row[u] + 1
+					mu = u
+				}
+			}
+			cmm[st], cmu[st] = mb, int32(mu)
+
+			// G[.][1]: a single pin covering the whole state.
+			switch {
+			case rest == 0:
+				row[1] = pc[1]
+			case decomp:
+				row[1] = mb
 			}
 		}
-		dp.mmBest[s] = mb
-		dp.mmBestU[s] = mu
+	}
 
-		// G[s][1]: a single pin covering all of s.
-		switch {
-		case s == pbit:
-			row[1] = dp.costSignal(pivot)
-			ch[1] = gChoice{kind: choiceSingleton, v: 1}
-		case !opts.DisableDecomposition:
-			row[1] = mb
-			ch[1] = gChoice{kind: choiceIntermediate, d: uint32(s)}
-		default:
-			row[1] = infinity
-			ch[1] = gChoice{}
+	// Expand: subset s takes the rows of its class state. Stepping from
+	// s-1 to s clears the trailing ones of s-1 below bit t = ctz(s) and
+	// sets bit t.
+	dp.g = a.allocI32(size * stride)
+	dp.mmBest = a.allocI32(size)
+	dp.mmBestU = a.allocI8(size)
+	var below [33]int // below[t]: the row-index weight of fanins 0..t-1
+	for i := 0; i < f; i++ {
+		below[i+1] = below[i] + w[i]
+	}
+	st := 0
+	for s := 0; s < size; s++ {
+		if s > 0 {
+			t := bits.TrailingZeros32(uint32(s))
+			st += w[t] - below[t]
 		}
+		copy(dp.g[s*stride:(s+1)*stride], cg[st*stride:(st+1)*stride])
+		dp.mmBest[s] = cmm[st]
+		dp.mmBestU[s] = int8(cmu[st])
 	}
 
 	dp.bestCost = infinity
@@ -281,6 +328,51 @@ func (dp *nodeDP) compute(a *dpArena, opts Options, gov *governor) {
 			dp.bestU = u
 		}
 	}
+}
+
+// choiceAt derives how the pivot fanin of subset s is placed in the
+// cell (s, u): the first candidate, in the search order, whose cost
+// equals the cell (see the header comment). decomp says whether the
+// decomposition search ran. A cell no candidate reaches — an infeasible
+// cell, or a table that disagrees with itself — has no choice.
+func (dp *nodeDP) choiceAt(s uint32, u int, decomp bool) gChoice {
+	if s == 0 {
+		return gChoice{} // the empty subset places nothing
+	}
+	pivot := bits.TrailingZeros32(s)
+	pbit := uint32(1) << uint(pivot)
+	if u == 1 {
+		switch {
+		case s == pbit:
+			return gChoice{kind: choiceSingleton, v: 1}
+		case decomp:
+			return gChoice{kind: choiceIntermediate, d: s}
+		}
+		return gChoice{}
+	}
+	want := dp.gAt(s, u)
+	if want >= infinity {
+		return gChoice{}
+	}
+	rest := s ^ pbit
+	for v := 1; v <= u; v++ {
+		cost := dp.costSignal(pivot)
+		if v > 1 {
+			cost = dp.costMerge(pivot, v)
+		}
+		if r := dp.gAt(rest, u-v); cost < infinity && r < infinity && cost+r == want {
+			return gChoice{kind: choiceSingleton, v: int8(v)}
+		}
+	}
+	if decomp {
+		for dr := (rest - 1) & rest; dr > 0; dr = (dr - 1) & rest {
+			cost, r := dp.mmBest[dr|pbit], dp.gAt(rest&^dr, u-1)
+			if cost < infinity && r < infinity && cost+r == want {
+				return gChoice{kind: choiceIntermediate, d: dr | pbit}
+			}
+		}
+	}
+	return gChoice{}
 }
 
 // minmap returns cost(minmap(node, u)) for u in 2..K, or infinity when

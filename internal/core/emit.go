@@ -12,13 +12,14 @@ import (
 	"chortle/internal/truth"
 )
 
-// Circuit reconstruction. The DP records, for every (subset, utilization)
-// state, how the pivot fanin was placed; walking those choices rebuilds
-// the chosen cover. Each emitted LUT's truth table is computed bitwise
-// while the walk collects its inputs: pin i contributes the projection
-// column of input i, an inverted edge complements its group's column —
-// which is how Chortle gets inverters for free — and each node ANDs or
-// ORs its groups' columns together.
+// Circuit reconstruction. Walking, from the root state, how the pivot
+// fanin of each visited (subset, utilization) cell is placed rebuilds
+// the chosen cover: the area DP's choices are derived from its tables
+// (choiceAt), the depth DP's are recorded. Each emitted LUT's truth
+// table is computed bitwise while the walk collects its inputs: pin i
+// contributes the projection column of input i, an inverted edge
+// complements its group's column — which is how Chortle gets inverters
+// for free — and each node ANDs or ORs its groups' columns together.
 
 // projection[i] is the 64-row truth column of input i: bit m of it is
 // bit i of minterm m. A table over n <= 6 inputs is the low 2^n bits of
@@ -74,6 +75,10 @@ type mapper struct {
 	isInput map[string]bool
 	// nameBuf is fresh's reused name buffer.
 	nameBuf []byte
+
+	// recorded maps every node of the depth-DP tree being realized to
+	// its recorded choice table; nil derives the area DP's choices.
+	recorded map[*nodeDP][]gChoice
 
 	// Per-tree provenance context (provenance.go), meaningful only when
 	// opts.Provenance is set: the tree being realized, how it was
@@ -147,6 +152,14 @@ func (m *mapper) signalOf(fr faninRef) (string, error) {
 	return m.emitLUT(c, c.full, c.bestU, m.fresh(c.node.Name), m.provFor(c))
 }
 
+// choiceAt is the placement of the pivot fanin of s in dp's cell (s, u).
+func (m *mapper) choiceAt(dp *nodeDP, s uint32, u int) gChoice {
+	if m.recorded != nil {
+		return m.recorded[dp][int(s)*int(dp.stride)+u]
+	}
+	return dp.choiceAt(s, u, !m.opts.DisableDecomposition)
+}
+
 // collectGroups walks the DP choices for (dp, s, u), returning the truth
 // column of op(dp.node) over the groups it places and adding the
 // signals they consume to pins. pf (nil when provenance is off)
@@ -163,7 +176,7 @@ func (m *mapper) collectGroups(dp *nodeDP, s uint32, u int, pins *lutPins, pf *p
 			return 0, fmt.Errorf("core: utilization underflow reconstructing %q", dp.node.Name)
 		}
 		var grp uint64
-		ch := dp.choiceAt(s, u)
+		ch := m.choiceAt(dp, s, u)
 		switch ch.kind {
 		case choiceSingleton:
 			pivot := bits.TrailingZeros32(s)
@@ -206,7 +219,7 @@ func (m *mapper) collectGroups(dp *nodeDP, s uint32, u int, pins *lutPins, pf *p
 			s &^= ch.d
 			u--
 		default:
-			return 0, fmt.Errorf("core: no DP choice recorded for %q subset %b utilization %d", dp.node.Name, s, u)
+			return 0, fmt.Errorf("core: no DP choice for %q subset %b utilization %d", dp.node.Name, s, u)
 		}
 		if and {
 			col &= grp

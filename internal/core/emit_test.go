@@ -64,14 +64,23 @@ func TestReconstructNamesAvoidClashes(t *testing.T) {
 	}
 }
 
-// corruptTree solves a single AND gate over n inputs at K=k, hands its
-// DP tables to corrupt, and reconstructs the tree from them.
-func corruptTree(t *testing.T, n, k int, corrupt func(dp *nodeDP)) error {
+// corruptTree solves, at K=k, a single AND gate r over n inputs — the
+// first of them through an OR gate c over three more inputs when child
+// is set — hands its DP tables to corrupt, and reconstructs the tree
+// from them.
+func corruptTree(t *testing.T, n, k int, child bool, corrupt func(dp *nodeDP)) error {
 	t.Helper()
 	nw := network.New("corrupt")
 	fins := make([]network.Fanin, n)
 	for i := range fins {
 		fins[i] = network.Fanin{Node: nw.AddInput(fmt.Sprintf("x%d", i))}
+	}
+	if child {
+		y := make([]network.Fanin, 3)
+		for i := range y {
+			y[i] = network.Fanin{Node: nw.AddInput(fmt.Sprintf("y%d", i))}
+		}
+		fins[0] = network.Fanin{Node: nw.AddGate("c", network.OpOr, y...)}
 	}
 	root := nw.AddGate("r", network.OpAnd, fins...)
 	nw.MarkOutput("y", root, false)
@@ -86,27 +95,27 @@ func corruptTree(t *testing.T, n, k int, corrupt func(dp *nodeDP)) error {
 	return err
 }
 
-func setChoice(dp *nodeDP, s uint32, u int, c gChoice) {
-	dp.choice[int(s)*int(dp.stride)+u] = c
+func setG(dp *nodeDP, s uint32, u int, v int32) {
+	dp.g[int(s)*int(dp.stride)+u] = v
 }
 
-var pinChoice = gChoice{kind: choiceSingleton, v: 1}
-
-// TestReconstructRefusesCorruptChoices hand-corrupts DP choice cells
-// and checks that reconstruction refuses each inconsistency with its
-// error instead of emitting a wrong LUT or panicking.
+// TestReconstructRefusesCorruptChoices corrupts DP table cells so that
+// the choices derived from them disagree with each other, and checks
+// that reconstruction refuses each inconsistency with its error instead
+// of emitting a wrong LUT or panicking.
 func TestReconstructRefusesCorruptChoices(t *testing.T) {
-	// An intermediate group over x0..xK granted K+1 pins: its walk
-	// collects K+1 distinct inputs. At K=6 the seventh must be refused
-	// before it indexes a projection column.
+	// An intermediate group d over K+1 inputs granted K+1 pins: its walk
+	// places one input per pin. At K=6 the seventh must be refused before
+	// it indexes a projection column. The root of K+2 inputs takes d, its
+	// first group, once its pivot's pin is made infeasible; the cell
+	// (d, K+1) that starts d's walk lies one past d's row, in row d+1.
 	for _, k := range []int{2, 6} {
-		err := corruptTree(t, k+2, k, func(dp *nodeDP) {
-			d := uint32(1)<<uint(k+1) - 1
+		err := corruptTree(t, k+2, k, false, func(dp *nodeDP) {
+			d := dp.full &^ 2
+			dp.bestU = 2
 			dp.mmBestU[d] = int8(k + 1)
-			for j := 0; j <= k; j++ {
-				setChoice(dp, d&^(uint32(1)<<uint(j)-1), k+1-j, pinChoice)
-			}
-			setChoice(dp, dp.full, dp.bestU, gChoice{kind: choiceIntermediate, d: d})
+			setG(dp, dp.full^1, 1, infinity)
+			setG(dp, d, k+1, 0)
 		})
 		want := fmt.Sprintf(`core: LUT "r$l1" collected %d inputs for K=%d`, k+1, k)
 		if err == nil || err.Error() != want {
@@ -116,26 +125,32 @@ func TestReconstructRefusesCorruptChoices(t *testing.T) {
 
 	cases := []struct {
 		name    string
+		child   bool
 		corrupt func(dp *nodeDP)
 		want    string
 	}{
-		{"underflow", func(dp *nodeDP) {
-			dp.bestU = 2
-			setChoice(dp, 0b111, 2, pinChoice)
-			setChoice(dp, 0b110, 1, pinChoice)
+		// Merging c with all three pins of (111, 3) leaves inputs 1 and 2
+		// without a pin.
+		{"underflow", true, func(dp *nodeDP) {
+			dp.bestU = 3
+			setG(dp, 0b111, 3, 0)
+			setG(dp, 0b110, 0, 0)
 		}, `core: utilization underflow reconstructing "r"`},
-		{"leftover", func(dp *nodeDP) {
+		// Three inputs claim four pins, one each and one for nothing.
+		{"leftover", false, func(dp *nodeDP) {
 			dp.bestU = 4
-			setChoice(dp, 0b111, 4, pinChoice)
-			setChoice(dp, 0b110, 3, pinChoice)
-			setChoice(dp, 0b100, 2, pinChoice)
+			setG(dp, 0b111, 4, 0)
+			setG(dp, 0b110, 3, 0)
+			setG(dp, 0b100, 2, 0)
+			setG(dp, 0b000, 1, 0)
 		}, `core: utilization leftover 1 reconstructing "r"`},
-		{"no choice", func(dp *nodeDP) {
-			setChoice(dp, 0b111, dp.bestU, gChoice{})
-		}, `core: no DP choice recorded for "r" subset 111 utilization 3`},
+		// No candidate of (111, 3) costs 5.
+		{"no choice", false, func(dp *nodeDP) {
+			setG(dp, 0b111, dp.bestU, 5)
+		}, `core: no DP choice for "r" subset 111 utilization 3`},
 	}
 	for _, c := range cases {
-		err := corruptTree(t, 3, 4, c.corrupt)
+		err := corruptTree(t, 3, 4, c.child, c.corrupt)
 		if err == nil || err.Error() != c.want {
 			t.Errorf("%s: error %v, want %s", c.name, err, c.want)
 		}

@@ -61,8 +61,9 @@ func ParseEngine(s string) (Engine, error) {
 	return EngineTree, fmt.Errorf("core: unknown engine %q (want tree, mis or cut)", s)
 }
 
-// mapCut runs the priority-cut engine and adapts its result. Trees
-// reports the selected-cut count (every LUT roots one cut).
+// mapCut runs the priority-cut engine on an input MapCtx has validated
+// and adapts its result. Trees reports the selected-cut count (every
+// LUT roots one cut).
 func mapCut(ctx context.Context, input *network.Network, opts Options) (*Result, error) {
 	r, err := cut.MapCtx(ctx, input, cut.Options{
 		K:          opts.K,
@@ -82,8 +83,9 @@ func mapCut(ctx context.Context, input *network.Network, opts Options) (*Result,
 	return finishEngineResult(res, opts)
 }
 
-// mapMIS runs the MIS II-style baseline as an engine. The library is
-// derived from K (complete for K <= 3, level-0 kernels above).
+// mapMIS runs the MIS II-style baseline as an engine on an input MapCtx
+// has validated. The library is derived from K (complete for K <= 3,
+// level-0 kernels above).
 func mapMIS(ctx context.Context, input *network.Network, opts Options) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

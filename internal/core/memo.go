@@ -88,7 +88,7 @@ func rebindDP(a *dpArena, c *nodeDP, n *network.Node) *nodeDP {
 	}
 	*dp = nodeDP{
 		node: n, fanins: frs, full: c.full, stride: c.stride,
-		g: c.g, choice: c.choice, mmBest: c.mmBest, mmBestU: c.mmBestU,
+		g: c.g, mmBest: c.mmBest, mmBestU: c.mmBestU,
 		bestCost: c.bestCost, bestU: c.bestU,
 	}
 	return dp

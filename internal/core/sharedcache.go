@@ -173,7 +173,7 @@ const sharedShapeOverhead = int64(unsafe.Sizeof(sharedShape{})) + 64
 // into the origin network are dropped (rebindDP rebuilds them from the
 // consuming tree), so a cached shape keeps nothing of its origin run
 // alive. The copy preserves exactly the fields rebindDP reads: full,
-// stride, the four table slabs, bestCost/bestU, and the fanins' child
+// stride, the three table slabs, bestCost/bestU, and the fanins' child
 // skeleton. Returns the frozen root and the copy's accounted byte size.
 func freezeDP(dp *nodeDP) (*nodeDP, int64) {
 	var sz int64
@@ -183,7 +183,6 @@ func freezeDP(dp *nodeDP) (*nodeDP, int64) {
 			full:    c.full,
 			stride:  c.stride,
 			g:       append([]int32(nil), c.g...),
-			choice:  append([]gChoice(nil), c.choice...),
 			mmBest:  append([]int32(nil), c.mmBest...),
 			mmBestU: append([]int8(nil), c.mmBestU...),
 
@@ -192,7 +191,6 @@ func freezeDP(dp *nodeDP) (*nodeDP, int64) {
 		}
 		sz += int64(unsafe.Sizeof(nodeDP{})) +
 			int64(len(c.g))*int64(unsafe.Sizeof(int32(0))) +
-			int64(len(c.choice))*int64(unsafe.Sizeof(gChoice{})) +
 			int64(len(c.mmBest))*int64(unsafe.Sizeof(int32(0))) +
 			int64(len(c.mmBestU))
 		if len(c.fanins) > 0 {

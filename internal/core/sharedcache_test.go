@@ -254,7 +254,7 @@ func TestFreezeDPRoundTrip(t *testing.T) {
 			fz.bestCost != orig.bestCost || fz.bestU != orig.bestU {
 			t.Fatalf("frozen scalar fields differ")
 		}
-		if len(fz.g) != len(orig.g) || len(fz.choice) != len(orig.choice) ||
+		if len(fz.g) != len(orig.g) ||
 			len(fz.mmBest) != len(orig.mmBest) || len(fz.mmBestU) != len(orig.mmBestU) {
 			t.Fatalf("frozen table lengths differ")
 		}

@@ -19,17 +19,17 @@ import (
 // nodeDP or the canonical shape encoding must bump it so old snapshots
 // are rejected (cold boot) instead of misread. Decoding validates every
 // structural invariant rebindDP and reconstruction rely on — table
-// geometry, choice kinds, and a full lockstep walk of the decoded DP
-// skeleton against the entry's own canonical encoding — so a snapshot
-// that passes the container checksum but disagrees with itself still
-// loads as nothing rather than as a crash or a wrong hit.
+// geometry, intermediate-node utilizations, and a full lockstep walk of
+// the decoded DP skeleton against the entry's own canonical encoding —
+// so a snapshot that passes the container checksum but disagrees with
+// itself still loads as nothing rather than as a crash or a wrong hit.
 // After restore, the normal verification-on-hit (byte-comparing the
 // canonical encoding against the live tree) applies unchanged.
 
 // shapeSnapshotNamespace identifies the payload codec. Bump on any
 // incompatible change to the encodings in this file or the structures
 // they serialize.
-const shapeSnapshotNamespace = "chortle-shape-v2"
+const shapeSnapshotNamespace = "chortle-shape-v3"
 
 // errBadShapePayload rejects a structurally invalid entry payload.
 var errBadShapePayload = errors.New("core: invalid shape snapshot payload")
@@ -104,11 +104,6 @@ func appendDP(b []byte, dp *nodeDP) []byte {
 	b = appendUvarint(b, uint64(dp.full))
 	b = appendUvarint(b, uint64(dp.stride))
 	b = appendInt32s(b, dp.g)
-	b = appendUvarint(b, uint64(len(dp.choice)))
-	for _, ch := range dp.choice {
-		b = append(b, byte(ch.kind), byte(ch.v))
-		b = appendUvarint(b, uint64(ch.d))
-	}
 	b = appendInt32s(b, dp.mmBest)
 	b = appendUvarint(b, uint64(len(dp.mmBestU)))
 	for _, u := range dp.mmBestU {
@@ -259,28 +254,6 @@ func decodeDP(r *snapReader, nodes *int) *nodeDP {
 		stride: int32(r.uvarint()),
 		g:      r.int32s(maxSnapTableLen),
 	}
-	nchoice := r.uvarint()
-	if r.err != nil {
-		return nil
-	}
-	if nchoice > maxSnapTableLen {
-		r.fail()
-		return nil
-	}
-	if nchoice > 0 {
-		dp.choice = make([]gChoice, nchoice)
-		for i := range dp.choice {
-			dp.choice[i] = gChoice{
-				kind: choiceKind(r.byte()),
-				v:    int8(r.byte()),
-				d:    uint32(r.uvarint()),
-			}
-			if dp.choice[i].kind > choiceIntermediate {
-				r.fail()
-				return nil
-			}
-		}
-	}
 	dp.mmBest = r.int32s(maxSnapTableLen)
 	nmmu := r.uvarint()
 	if r.err != nil {
@@ -324,18 +297,33 @@ func decodeDP(r *snapReader, nodes *int) *nodeDP {
 	if r.err != nil {
 		return nil
 	}
-	// Table geometry invariants rebindDP and the choice walk rely on.
+	// Table geometry invariants rebindDP and the choice derivation rely
+	// on: one row of stride cells per fanin subset, child rows as long
+	// as ours (costMerge reads them at our utilizations), and every
+	// utilization a walk can start from inside the row. An intermediate
+	// utilization of 1 would make the whole-subset group recurse on
+	// itself.
 	if dp.stride < 1 || dp.stride > maxSnapStride {
 		r.fail()
 		return nil
 	}
-	if len(dp.g) != len(dp.choice) || len(dp.g)%int(dp.stride) != 0 {
+	rows := uint64(1) << len(dp.fanins)
+	if uint64(dp.full) != rows-1 || uint64(len(dp.g)) != rows*uint64(dp.stride) ||
+		uint64(len(dp.mmBest)) != rows || uint64(len(dp.mmBestU)) != rows {
 		r.fail()
 		return nil
 	}
-	if len(dp.mmBest) != len(dp.mmBestU) {
-		r.fail()
-		return nil
+	for _, u := range dp.mmBestU {
+		if u != 0 && (u < 2 || int32(u) >= dp.stride) {
+			r.fail()
+			return nil
+		}
+	}
+	for _, fr := range dp.fanins {
+		if fr.child != nil && fr.child.stride != dp.stride {
+			r.fail()
+			return nil
+		}
 	}
 	if dp.bestU < 0 || dp.bestU >= int(dp.stride) {
 		r.fail()

@@ -7,6 +7,7 @@ import (
 	"os"
 	"testing"
 
+	"chortle/internal/forest"
 	"chortle/internal/network"
 	"chortle/internal/shapecache"
 )
@@ -263,6 +264,112 @@ func TestSnapshotV1Refused(t *testing.T) {
 	}
 }
 
+// TestSnapshotV2Refused restores a snapshot written by the
+// chortle-shape-v2 codec, which also carried a choice table per DP
+// node: the namespace check refuses it whole and the cache stays empty,
+// so a server booting from it starts cold.
+func TestSnapshotV2Refused(t *testing.T) {
+	f, err := os.Open("testdata/shape_snapshot_v2.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	c := NewSharedShapeCache(SharedCacheConfig{})
+	n, err := c.RestoreSnapshot(f)
+	if !errors.Is(err, shapecache.ErrSnapshotNamespace) {
+		t.Fatalf("v2 snapshot: restored %d shapes with error %v, want a namespace refusal", n, err)
+	}
+	if c.Len() != 0 {
+		t.Fatalf("cache holds %d shapes after the refusal", c.Len())
+	}
+}
+
+// TestSnapshotIgnoresArenaHistory publishes the shapes of one network
+// solved on a fresh arena and on one whose recycled slabs hold an
+// earlier run's tables: the two snapshots must be the same bytes, since
+// compute writes every table cell a cached shape keeps.
+func TestSnapshotIgnoresArenaHistory(t *testing.T) {
+	nw := leafPatternTrees(4, 9)
+	opts := DefaultOptions(4)
+	seed := shapeSeed(opts)
+	snap := func(a *dpArena) []byte {
+		f, err := forest.Decompose(nw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache := NewSharedShapeCache(SharedCacheConfig{})
+		tc := newTieredShapeCache(cache, f, seed)
+		for _, root := range f.Roots {
+			si := treeShapeInfo(f, root, seed)
+			if tc.lookup(f, root, si) != nil {
+				continue
+			}
+			e := &shapeEntry{f: f, rep: root, dp: buildDPIn(a, f, root, opts, nil)}
+			tc.insert(si, e)
+			tc.publish(root, si, e)
+		}
+		var b bytes.Buffer
+		if err := cache.WriteSnapshot(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	fresh := snap(new(dpArena))
+
+	used := new(dpArena)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 20; i++ {
+		f, err := forest.Decompose(randomWideTree(rng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		buildDPIn(used, f, f.Roots[0], DefaultOptions(5), nil)
+	}
+	used.reset()
+	if recycled := snap(used); !bytes.Equal(fresh, recycled) {
+		t.Fatalf("snapshot on recycled arena slabs differs: %d vs %d bytes", len(recycled), len(fresh))
+	}
+}
+
+// TestSnapshotRefusesInconsistentGeometry re-encodes a valid shape with
+// one table broken at a time. Each payload must be refused: deriving
+// choices from it would read outside a row, or a group granted one pin
+// would recurse on itself.
+func TestSnapshotRefusesInconsistentGeometry(t *testing.T) {
+	opts := DefaultOptions(4)
+	f, root := chainTree(t, "geo", 3, true, network.OpAnd)
+	frozen, _ := freezeDP(buildDP(f, root, opts))
+	good := encodeSharedShape(&sharedShape{enc: shapeEnc(f, root, shapeSeed(opts)), dp: frozen})
+	if _, err := decodeSharedShape(good); err != nil {
+		t.Fatalf("valid payload refused: %v", err)
+	}
+	cases := []struct {
+		name    string
+		breakDP func(dp *nodeDP)
+	}{
+		{"fanin mask", func(dp *nodeDP) { dp.full = 7 }},
+		{"row missing", func(dp *nodeDP) { dp.g = dp.g[:len(dp.g)-int(dp.stride)] }},
+		{"mm entry missing", func(dp *nodeDP) { dp.mmBest, dp.mmBestU = dp.mmBest[1:], dp.mmBestU[1:] }},
+		{"group utilization 1", func(dp *nodeDP) { dp.mmBestU[dp.full] = 1 }},
+		{"group utilization K+1", func(dp *nodeDP) { dp.mmBestU[1] = int8(dp.stride) }},
+		{"child stride", func(dp *nodeDP) {
+			c := dp.fanins[0].child
+			c.stride++
+			c.g = append(c.g, make([]int32, int(c.full)+1)...)
+		}},
+	}
+	for _, c := range cases {
+		ss, err := decodeSharedShape(good)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.breakDP(ss.dp)
+		if _, err := decodeSharedShape(encodeSharedShape(ss)); !errors.Is(err, errBadShapePayload) {
+			t.Errorf("%s: decode error %v, want errBadShapePayload", c.name, err)
+		}
+	}
+}
+
 func TestSharedShapeCodecRoundTrip(t *testing.T) {
 	// Exercise the codec directly on cache-resident entries: every
 	// encoded shape must decode to an equal encoding, units and DP
@@ -310,13 +417,13 @@ func sameDPShape(a, b *nodeDP) bool {
 	}
 	if a.full != b.full || a.stride != b.stride ||
 		a.bestCost != b.bestCost || a.bestU != b.bestU ||
-		len(a.g) != len(b.g) || len(a.choice) != len(b.choice) ||
+		len(a.g) != len(b.g) ||
 		len(a.mmBest) != len(b.mmBest) || len(a.mmBestU) != len(b.mmBestU) ||
 		len(a.fanins) != len(b.fanins) {
 		return false
 	}
 	for i := range a.g {
-		if a.g[i] != b.g[i] || a.choice[i] != b.choice[i] {
+		if a.g[i] != b.g[i] {
 			return false
 		}
 	}

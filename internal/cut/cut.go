@@ -204,22 +204,21 @@ type coneFrame struct {
 	next int
 }
 
-// Map runs the priority-cut mapper on the network. The input is not
-// modified.
+// Map runs the priority-cut mapper on the network, which must be valid
+// (network.Validate). The input is not modified.
 func Map(input *network.Network, opts Options) (*Result, error) {
 	return MapCtx(context.Background(), input, opts)
 }
 
 // MapCtx is Map under a context: cancellation or deadline expiry makes
-// the enumeration return ctx.Err() promptly between nodes.
+// the enumeration return ctx.Err() promptly between nodes. The input
+// must be a valid network (network.Validate); core.MapCtx checks that
+// once before it picks an engine.
 func MapCtx(ctx context.Context, input *network.Network, opts Options) (*Result, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := input.Validate(); err != nil {
 		return nil, err
 	}
 	tr := tracer{opts.Observer}

@@ -47,11 +47,9 @@ func Map(input *network.Network, lib mislib.Library) (*Result, error) {
 
 // MapWithOptions covers the network with cells from the library, K-input
 // LUT cost one per cell and inverters free, returning the mapped
-// circuit. The input network is not modified.
+// circuit. The input network must be valid (network.Validate), which
+// its callers check at their own boundary; it is not modified.
 func MapWithOptions(input *network.Network, lib mislib.Library, o Options) (*Result, error) {
-	if err := input.Validate(); err != nil {
-		return nil, err
-	}
 	nw := input.Clone()
 	nw.Sweep()
 	dups := 0

@@ -143,6 +143,27 @@ func TestSentinelErrors(t *testing.T) {
 		}
 	})
 
+	// Map validates its input once, before it picks an engine, and the
+	// baseline mapper checks its own.
+	t.Run("cycle, other engines", func(t *testing.T) {
+		cyc := network.New("cyc")
+		a := cyc.AddInput("a")
+		g1 := cyc.AddGate("g1", network.OpAnd, network.Fanin{Node: a})
+		g2 := cyc.AddGate("g2", network.OpOr, network.Fanin{Node: g1})
+		g1.Fanins = append(g1.Fanins, network.Fanin{Node: g2})
+		cyc.MarkOutput("y", g2, false)
+		for _, e := range []Engine{EngineCut, EngineMIS} {
+			opts := DefaultOptions(4)
+			opts.Engine = e
+			if _, err := Map(cyc, opts); !errors.Is(err, ErrCycle) {
+				t.Fatalf("engine %v: got %v, want ErrCycle", e, err)
+			}
+		}
+		if _, err := MapBaseline(cyc, 4); !errors.Is(err, ErrCycle) {
+			t.Fatalf("MapBaseline: got %v, want ErrCycle", err)
+		}
+	})
+
 	t.Run("blif duplicate", func(t *testing.T) {
 		src := ".model d\n.inputs a\n.outputs y\n.names a y\n1 1\n.names a y\n0 1\n.end\n"
 		if _, err := ReadBLIF(strings.NewReader(src)); !errors.Is(err, ErrDuplicateName) {
