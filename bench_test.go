@@ -123,8 +123,7 @@ func BenchmarkMapperSpeed_Cut_des_K5(b *testing.B) {
 }
 
 // The same speed benchmark at the paper's headline K=4, with allocation
-// accounting — the figure cmd/benchjson and EXPERIMENTS.md track across
-// revisions.
+// accounting — the figure EXPERIMENTS.md tracks across revisions.
 func BenchmarkMapperSpeed_Chortle_des_K4(b *testing.B) {
 	nw := optimizedSuite(b)["des"]
 	b.ReportAllocs()

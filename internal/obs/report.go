@@ -18,8 +18,8 @@ type PhaseStat struct {
 }
 
 // Report is the aggregate view of one mapping run's event stream: what
-// -stats prints and what benchjson embeds in BENCH_map.json. Build one
-// with Aggregate or Collector.Report.
+// -stats prints, its phase times from the same run as its wall time.
+// Build one with Aggregate or Collector.Report.
 type Report struct {
 	// K and Wall come from the map-start/map-end bracket; for a
 	// cost-aware duplication run they span the outermost bracket.
