@@ -13,6 +13,8 @@ package chortle
 //	    (cold) and a warmed cross-run shape cache.
 //	BenchmarkReadBLIF, BenchmarkWriteLUTBLIF — the byte layers every map
 //	    crosses: parsing the twelve circuits, writing their K=4 mappings.
+//	BenchmarkMapPath — the whole path e2ebench's paper_tree workload
+//	    times, BLIF bytes in to LUT BLIF bytes out, for profiling.
 //	BenchmarkFigure2Mapping — the Figure 1/2 worked example at K=3.
 //	BenchmarkFigure7Decomposition — the Figure 7 wide-node search.
 //	BenchmarkNodeSplitting_* — Section 3.1.4: exhaustive search vs the
@@ -25,8 +27,11 @@ package chortle
 // the reported custom metrics (LUT counts and percentages).
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -154,7 +159,8 @@ func BenchmarkMapperSpeed_MIS_des(b *testing.B) {
 // per op, so every shape is solved and published; warm maps through a
 // cache that already holds the circuit, so every shape is a verified
 // hit whose DP is rebound and reconstructed. Warm slower than cold means
-// the cache costs that circuit time.
+// the cache costs that circuit time. Every row starts its timer on a
+// collected heap, so no row pays for the garbage of the rows before it.
 func BenchmarkSharedCache(b *testing.B) {
 	nets := optimizedSuite(b)
 	for _, name := range SuiteNames() {
@@ -163,6 +169,8 @@ func BenchmarkSharedCache(b *testing.B) {
 			opts := DefaultOptions(k)
 			b.Run(fmt.Sprintf("%s/k%d/cold", name, k), func(b *testing.B) {
 				b.ReportAllocs()
+				runtime.GC()
+				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					o := opts
 					o.SharedCache = NewSharedCache(SharedCacheConfig{})
@@ -178,6 +186,7 @@ func BenchmarkSharedCache(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.ReportAllocs()
+				runtime.GC()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					res, err := Map(nw, o)
@@ -253,6 +262,35 @@ func BenchmarkWriteLUTBLIF(b *testing.B) {
 		for _, c := range circuits {
 			if err := c.WriteBLIF(io.Discard); err != nil {
 				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkMapPath is one op of the path e2ebench's paper_tree workload
+// times, as a benchmark that takes -cpuprofile and -memprofile: each of
+// the twelve paper circuits is read from its BLIF, mapped at K=2..5 and
+// written as LUT BLIF into a bytes.Buffer, 48 maps in all.
+func BenchmarkMapPath(b *testing.B) {
+	texts := suiteBLIF(b)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range texts {
+			for k := 2; k <= 5; k++ {
+				nw, err := ReadBLIF(strings.NewReader(s))
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := MapCtx(ctx, nw, DefaultOptions(k))
+				if err != nil {
+					b.Fatal(err)
+				}
+				var buf bytes.Buffer
+				if err := res.Circuit.WriteBLIF(&buf); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	}

@@ -154,32 +154,61 @@ func TestWriteBLIFAllocsFlat(t *testing.T) {
 	}
 }
 
-// TestMapAllocsPerLUT bounds the tree engine's heap allocations per
-// emitted LUT when mapping des at GOMAXPROCS 1, where the solve pool
-// runs inline. The DP solves on recycled arenas, and reconstruction
-// builds each LUT's truth table bitwise with its inputs in a fixed
-// buffer. What remains per LUT is mostly its name, the circuit's copy
-// of its input list and the map bookkeeping.
+// TestMapAllocsPerLUT bounds each engine's heap allocations per
+// emitted LUT when mapping des at GOMAXPROCS 1, where the tree engine's
+// solve pool runs inline. The DP solves on recycled arenas, and the
+// netlists a map builds (the cloned network, the LUTs, their input
+// lists and their generated names) are carved from chunks sized from
+// counts the engine already has, so what an engine allocates grows with
+// the number of chunks and trees, not of LUTs.
 func TestMapAllocsPerLUT(t *testing.T) {
 	setProcs(t, 1)
 	nw := differentialSuite(t)["des"]
 	for _, c := range []struct {
-		k     int
-		bound float64
-	}{{2, 3.5}, {5, 3.5}} {
-		res, err := Map(nw, DefaultOptions(c.k))
+		engine Engine
+		k      int
+		bound  float64
+	}{{EngineTree, 2, 1.0}, {EngineTree, 5, 1.0}, {EngineCut, 5, 0.5}} {
+		opts := DefaultOptions(c.k)
+		opts.Engine = c.engine
+		res, err := Map(nw, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(5, func() {
-			if _, err := Map(nw, DefaultOptions(c.k)); err != nil {
+			if _, err := Map(nw, opts); err != nil {
 				t.Fatal(err)
 			}
 		})
 		perLUT := allocs / float64(res.LUTs)
-		t.Logf("des K=%d: %d LUTs, %.0f allocs per Map, %.2f per LUT", c.k, res.LUTs, allocs, perLUT)
+		t.Logf("des %s K=%d: %d LUTs, %.0f allocs per Map, %.2f per LUT", c.engine, c.k, res.LUTs, allocs, perLUT)
 		if perLUT > c.bound {
-			t.Errorf("des K=%d: %.2f allocations per LUT, want at most %.1f", c.k, perLUT, c.bound)
+			t.Errorf("des %s K=%d: %.2f allocations per LUT, want at most %.2f", c.engine, c.k, perLUT, c.bound)
+		}
+	}
+}
+
+// TestReadBLIFAllocs bounds the allocations of reading each bundled
+// circuit's BLIF: the network's nodes, fanin lists and names are carved
+// from chunks, and its indexes are sized from the parsed counts, so a
+// read allocates a few times per chunk, not per node.
+func TestReadBLIFAllocs(t *testing.T) {
+	const bound = 200
+	nets := differentialSuite(t)
+	for _, c := range goldenCircuits() {
+		var sb strings.Builder
+		if err := WriteBLIF(&sb, nets[c.Name]); err != nil {
+			t.Fatal(err)
+		}
+		text := sb.String()
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := ReadBLIF(strings.NewReader(text)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %d bytes, %.0f allocs per ReadBLIF", c.Name, len(text), allocs)
+		if allocs > bound {
+			t.Errorf("%s: ReadBLIF makes %.0f allocations, want at most %d", c.Name, allocs, bound)
 		}
 	}
 }

@@ -14,12 +14,13 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
+	"slices"
 	"strings"
 	"unicode/utf8"
 
 	"chortle/internal/cerrs"
 	"chortle/internal/network"
+	"chortle/internal/slab"
 )
 
 // maxLine is the longest physical line Read accepts, in bytes, counting
@@ -85,12 +86,11 @@ type reader struct {
 	terms    []lit
 	cubeLits []lit
 	real     []network.Fanin
-	slab     []network.Fanin // carved into gate fanin lists
-	seen     []uint32        // gate fanin stamps by 2*node ID + polarity
+	fanins   slab.Slab[network.Fanin] // gate fanin lists
+	seen     []uint32                 // gate fanin stamps by 2*node ID + polarity
 	gen      uint32
 	gensym   int
-	kept     strings.Builder // every name the network keeps
-	digits   []byte
+	kept     slab.Names // every name the network keeps
 }
 
 // Read parses a BLIF model from r and lowers it to a Boolean network.
@@ -336,6 +336,17 @@ func (l lit) not() lit {
 func (rd *reader) lower() (*network.Network, error) {
 	nw := network.New(rd.keep(rd.model))
 	rd.nw = nw
+	// Size the network by the signals the model declares: a node for
+	// each input and latch output, and one for each table, which is what
+	// a single cube or a cover of single literals lowers to. A cover of
+	// wider cubes adds an AND per cube, and its nodes come from further
+	// chunks.
+	sources := len(rd.inputs) + len(rd.latches)
+	nw.Grow(sources + len(rd.decls))
+	nw.Inputs = make([]*network.Node, 0, sources)
+	nw.Outputs = make([]network.Output, 0, len(rd.outputs))
+	rd.seen = make([]uint32, 2*cap(nw.Nodes))
+	rd.decls = slices.Grow(rd.decls, sources)
 	rd.sig = make(map[string]int, len(rd.decls)+len(rd.inputs)+len(rd.latches))
 	for i, d := range rd.decls {
 		if prev, dup := rd.sig[d.output]; dup {
@@ -410,13 +421,8 @@ func (rd *reader) define(name string) {
 // keep returns a copy of s cut from rd.kept. The network copies every
 // name it keeps: as a substring of src, one name would keep the whole
 // input text alive for as long as the network, or a circuit mapped
-// from it, lives. A strings.Builder never rewrites bytes it has
-// written, so the copies stay valid as it grows.
-func (rd *reader) keep(s string) string {
-	start := rd.kept.Len()
-	rd.kept.WriteString(s)
-	return rd.kept.String()[start:]
-}
+// from it, lives.
+func (rd *reader) keep(s string) string { return rd.kept.Copy(s) }
 
 // resolve returns the value of signal name, first lowering every table
 // in its fanin cone that is not done yet. The walk is depth first, in
@@ -525,15 +531,7 @@ func (rd *reader) gate(base string, op network.Op, fanins []lit) lit {
 	case 1:
 		return lit{node: real[0].Node, invert: real[0].Invert}
 	}
-	// Fanin lists are carved from a shared slab, each capped at its
-	// length so that an append to one reallocates instead of writing
-	// over the next.
-	if cap(rd.slab)-len(rd.slab) < len(real) {
-		rd.slab = make([]network.Fanin, 0, max(len(real), 1024))
-	}
-	i := len(rd.slab)
-	rd.slab = append(rd.slab, real...)
-	return lit{node: rd.nw.AddGate(rd.fresh(base), op, rd.slab[i:len(rd.slab):len(rd.slab)]...)}
+	return lit{node: rd.nw.AddGate(rd.fresh(base), op, rd.fanins.Copy(real)...)}
 }
 
 // fresh returns an unused node name base$N, with N counting up across
@@ -541,12 +539,7 @@ func (rd *reader) gate(base string, op network.Op, fanins []lit) lit {
 func (rd *reader) fresh(base string) string {
 	for {
 		rd.gensym++
-		start := rd.kept.Len()
-		rd.kept.WriteString(base)
-		rd.kept.WriteByte('$')
-		rd.digits = strconv.AppendInt(rd.digits[:0], int64(rd.gensym), 10)
-		rd.kept.Write(rd.digits)
-		if name := rd.kept.String()[start:]; rd.nw.Find(name) == nil {
+		if name := rd.kept.Numbered(base, "$", rd.gensym); rd.nw.Find(name) == nil {
 			return name
 		}
 	}

@@ -324,7 +324,7 @@ func paperTreeShapes(tb testing.TB) []*shapeEntry {
 	tb.Helper()
 	opts := DefaultOptions(4)
 	seed := shapeSeed(opts)
-	memo := newShapeMemo()
+	memo := newShapeMemo(0)
 	var shapes []*shapeEntry
 	for _, c := range bench.Suite() {
 		in, err := bench.Optimized(c)

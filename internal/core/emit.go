@@ -9,6 +9,7 @@ import (
 	"chortle/internal/forest"
 	"chortle/internal/lut"
 	"chortle/internal/network"
+	"chortle/internal/slab"
 	"chortle/internal/truth"
 )
 
@@ -73,8 +74,8 @@ type mapper struct {
 	// isInput is the set of circuit input names, which fresh names and
 	// root LUT names must avoid.
 	isInput map[string]bool
-	// nameBuf is fresh's reused name buffer.
-	nameBuf []byte
+	// names holds every name fresh made.
+	names slab.Names
 
 	// recorded maps every node of the depth-DP tree being realized to
 	// its recorded choice table; nil derives the area DP's choices.
@@ -96,7 +97,7 @@ func newMapper(nw *network.Network, f *forest.Forest, opts Options) *mapper {
 		nw:      nw,
 		f:       f,
 		ckt:     lut.New(nw.Name, opts.K),
-		sig:     make(map[*network.Node]string),
+		sig:     make(map[*network.Node]string, len(f.Roots)),
 		isInput: make(map[string]bool, len(nw.Inputs)),
 	}
 	for _, in := range nw.Inputs {
@@ -110,10 +111,7 @@ func newMapper(nw *network.Network, f *forest.Forest, opts Options) *mapper {
 func (m *mapper) fresh(base string) string {
 	for {
 		m.seq++
-		m.nameBuf = append(append(m.nameBuf[:0], base...), "$l"...)
-		m.nameBuf = strconv.AppendInt(m.nameBuf, int64(m.seq), 10)
-		name := string(m.nameBuf)
-		if m.ckt.Find(name) == nil && !m.isInput[name] {
+		if name := m.names.Numbered(base, "$l", m.seq); m.ckt.Find(name) == nil && !m.isInput[name] {
 			return name
 		}
 	}
@@ -268,13 +266,12 @@ func errDegraded(name string) error {
 }
 
 // realizeTreeMemo maps one tree through the shape cache that
-// solveShapes filled. A shape hit reuses the cached DP tables, rebound
-// to this tree's nodes, and every tree is reconstructed from its DP. An
-// error wrapping cerrs.ErrBudgetExhausted means the shape's solve ran
-// out of budget and the caller should degrade the tree; any other error
-// aborts the mapping.
-func (m *mapper) realizeTreeMemo(root *network.Node, mc *mapCtx) (int32, error) {
-	e := mc.shapes[root]
+// solveShapes filled: e is the tree's entry in it. A shape hit reuses
+// the cached DP tables, rebound to this tree's nodes, and every tree is
+// reconstructed from its DP. An error wrapping cerrs.ErrBudgetExhausted
+// means the shape's solve ran out of budget and the caller should
+// degrade the tree; any other error aborts the mapping.
+func (m *mapper) realizeTreeMemo(root *network.Node, e *shapeEntry, mc *mapCtx) (int32, error) {
 	if e == nil {
 		return 0, fmt.Errorf("core: tree %q has no solved shape", root.Name)
 	}

@@ -131,9 +131,12 @@ func MapCtx(ctx context.Context, input *network.Network, opts Options) (*Result,
 		if err != nil {
 			return nil, err
 		}
+		// The bin-packing and depth paths predict nothing up front; their
+		// circuits grow chunk by chunk.
+		m.ckt.Grow(mctx.predictedLUTs())
 	}
 	endPhase = tr.phase("reconstruct")
-	for _, root := range f.Roots {
+	for i, root := range f.Roots {
 		if err := ctx.Err(); err != nil {
 			endPhase()
 			return nil, err
@@ -152,7 +155,7 @@ func MapCtx(ctx context.Context, input *network.Network, opts Options) (*Result,
 				tr.treeSolve(root.Name, gov.units, cost, solveStart)
 			}
 		default:
-			cost, err = m.realizeTreeMemo(root, mctx)
+			cost, err = m.realizeTreeMemo(root, mctx.shapes[i], mctx)
 		}
 		if err != nil && errors.Is(err, cerrs.ErrBudgetExhausted) {
 			// Budget ran out on this tree: degrade it to the bin-packing

@@ -3,6 +3,7 @@ package core
 import (
 	"chortle/internal/forest"
 	"chortle/internal/network"
+	"chortle/internal/slab"
 )
 
 // Isomorphic-tree memoization: per-Map caches keyed by the structural
@@ -37,19 +38,28 @@ type shapeEntry struct {
 	// the work cost of a shape is deterministic, so these are exactly
 	// the trees that a solve of their own would degrade.
 	degraded bool
+
+	// next is the memo's next entry of the same hash.
+	next *shapeEntry
 }
 
-// shapeMemo is the per-Map shape cache. Buckets hold every distinct
-// shape that hashed to the same value; lookups verify the full structure
-// so hash collisions degrade to cache misses, never to wrong reuse.
+// shapeMemo is the per-Map shape cache. A bucket holds every distinct
+// shape that hashed to the same value, chained through next in
+// insertion order; lookups verify the full structure so hash collisions
+// degrade to cache misses, never to wrong reuse.
 type shapeMemo struct {
-	buckets map[uint64][]*shapeEntry
+	buckets map[uint64]*shapeEntry
+	entries slab.Slab[shapeEntry] // the chunks new entries are carved from
 }
 
-func newShapeMemo() *shapeMemo { return &shapeMemo{buckets: make(map[uint64][]*shapeEntry)} }
+// newShapeMemo returns a memo whose index is sized for trees shapes,
+// the most a run of that many trees can hold.
+func newShapeMemo(trees int) *shapeMemo {
+	return &shapeMemo{buckets: make(map[uint64]*shapeEntry, trees)}
+}
 
 func (m *shapeMemo) lookup(f *forest.Forest, root *network.Node, si shapeInfo) *shapeEntry {
-	for _, e := range m.buckets[si.hash] {
+	for e := m.buckets[si.hash]; e != nil; e = e.next {
 		if e.rep == root {
 			return e
 		}
@@ -67,7 +77,15 @@ func (m *shapeMemo) lookup(f *forest.Forest, root *network.Node, si shapeInfo) *
 
 func (m *shapeMemo) insert(si shapeInfo, e *shapeEntry) {
 	e.nodes, e.leaves = si.nodes, si.leaves
-	m.buckets[si.hash] = append(m.buckets[si.hash], e)
+	last := m.buckets[si.hash]
+	if last == nil {
+		m.buckets[si.hash] = e
+		return
+	}
+	for last.next != nil {
+		last = last.next
+	}
+	last.next = e
 }
 
 // rebindDP binds cached DP tables c — solved on a structurally

@@ -99,7 +99,7 @@ func TestShapeMemoCollisionSafety(t *testing.T) {
 	sa := treeShapeInfo(fa, ra, seed)
 	sb := treeShapeInfo(fb, rb, seed)
 
-	memo := newShapeMemo()
+	memo := newShapeMemo(0)
 	// Wrong shape under ra's hash, carrying its own true counts: the
 	// size prefilter alone rejects it (fb is one level deeper).
 	memo.insert(shapeInfo{hash: sa.hash, nodes: sb.nodes, leaves: sb.leaves},

@@ -49,10 +49,10 @@ type mapCtx struct {
 	deadline time.Time
 
 	// cache is the run's shape memo, backed by Options.SharedCache when
-	// that is set and eligible; shapes maps every tree root to its
-	// shape's entry. Both are nil until solveShapes runs.
+	// that is set and eligible; shapes holds each tree's shape entry, in
+	// f.Roots order. Both are nil until solveShapes runs.
 	cache  *tieredShapeCache
-	shapes map[*network.Node]*shapeEntry
+	shapes []*shapeEntry
 
 	seqArena *dpArena
 	mu       sync.Mutex // guards arenas during a pool run
@@ -201,21 +201,22 @@ func (mc *mapCtx) solveShapes() error {
 		shared = mc.opts.SharedCache
 	}
 	mc.cache = newTieredShapeCache(shared, mc.f, mc.seed)
-	mc.shapes = make(map[*network.Node]*shapeEntry, len(roots))
+	mc.shapes = make([]*shapeEntry, len(roots))
 	var reps []*network.Node
 	var sis []shapeInfo
 	var entries []*shapeEntry
-	for _, r := range roots {
+	for i, r := range roots {
 		si := treeShapeInfo(mc.f, r, mc.seed)
 		e := mc.cache.lookup(mc.f, r, si)
 		if e == nil {
-			e = &shapeEntry{f: mc.f, rep: r}
+			e = mc.cache.memo.entries.New()
+			e.f, e.rep = mc.f, r
 			mc.cache.insert(si, e)
 			reps = append(reps, r)
 			sis = append(sis, si)
 			entries = append(entries, e)
 		}
-		mc.shapes[r] = e
+		mc.shapes[i] = e
 	}
 	err := mc.runPool(len(reps), func(a *dpArena, i int) error {
 		e := entries[i]
@@ -243,4 +244,17 @@ func (mc *mapCtx) solveShapes() error {
 		mc.cache.publish(reps[i], sis[i], entries[i])
 	}
 	return nil
+}
+
+// predictedLUTs is the number of LUTs reconstruction will emit for the
+// trees solveShapes solved: the sum of their shapes' best costs.
+// Degraded and unmappable trees count nothing.
+func (mc *mapCtx) predictedLUTs() int {
+	n := 0
+	for _, e := range mc.shapes {
+		if e.dp != nil && e.dp.bestCost < infinity {
+			n += int(e.dp.bestCost)
+		}
+	}
+	return n
 }

@@ -97,7 +97,7 @@ type tieredShapeCache struct {
 
 func newTieredShapeCache(shared *SharedShapeCache, f *forest.Forest, seed uint64) *tieredShapeCache {
 	return &tieredShapeCache{
-		memo:   newShapeMemo(),
+		memo:   newShapeMemo(len(f.Roots)),
 		shared: shared,
 		f:      f,
 		seed:   seed,
@@ -133,7 +133,8 @@ func (c *tieredShapeCache) lookup(f *forest.Forest, root *network.Node, si shape
 	// Wrap the frozen shape in a run-local entry: rep is this run's
 	// first instance (so later same-run trees verify against a live
 	// network), and frozen forces a rebind even for that instance.
-	e := &shapeEntry{f: f, rep: root, dp: v.(*sharedShape).dp, frozen: true}
+	e := c.memo.entries.New()
+	*e = shapeEntry{f: f, rep: root, dp: v.(*sharedShape).dp, frozen: true}
 	c.memo.insert(si, e)
 	return e
 }

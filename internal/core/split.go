@@ -1,9 +1,8 @@
 package core
 
 import (
-	"fmt"
-
 	"chortle/internal/network"
+	"chortle/internal/slab"
 )
 
 // Node splitting (Section 3.1.4): "For a node with fanin greater than
@@ -16,15 +15,20 @@ import (
 
 // splitWideNodes rewrites, in place, every gate whose fanin exceeds
 // limit into a balanced binary structure of gates each with fanin at
-// most limit. Returns the number of nodes added.
+// most limit. Returns the number of nodes added. The halves' names and
+// fanin lists are carved from chunks (internal/slab).
 func splitWideNodes(nw *network.Network, limit int) int {
 	added := 0
 	gensym := 0
+	var (
+		names  slab.Names
+		fanins slab.Slab[network.Fanin]
+		rest   []network.Fanin
+	)
 	fresh := func(base string) string {
 		for {
 			gensym++
-			name := fmt.Sprintf("%s$s%d", base, gensym)
-			if nw.Find(name) == nil {
+			if name := names.Numbered(base, "$s", gensym); nw.Find(name) == nil {
 				return name
 			}
 		}
@@ -36,22 +40,19 @@ func splitWideNodes(nw *network.Network, limit int) int {
 			// Pull roughly half the fanins (never fewer than two, so no
 			// degenerate buffer nodes appear) into a new half-node.
 			mid := (len(n.Fanins) + 1) / 2
-			a := nw.AddGate(fresh(n.Name), n.Op, append([]network.Fanin(nil), n.Fanins[:mid]...)...)
-			rest := append([]network.Fanin{{Node: a}}, n.Fanins[mid:]...)
-			n.Fanins = rest
+			a := nw.AddGate(fresh(n.Name), n.Op, fanins.Copy(n.Fanins[:mid])...)
+			rest = append(append(rest[:0], network.Fanin{Node: a}), n.Fanins[mid:]...)
+			n.Fanins = fanins.Copy(rest)
 			added++
 			split(a)
 		}
 	}
-	// Snapshot: splitting appends to nw.Nodes.
-	gates := make([]*network.Node, 0, len(nw.Nodes))
+	// Splitting appends to nw.Nodes; the range visits the nodes there
+	// before it started.
 	for _, n := range nw.Nodes {
 		if !n.IsInput() {
-			gates = append(gates, n)
+			split(n)
 		}
-	}
-	for _, n := range gates {
-		split(n)
 	}
 	nw.Reindex()
 	return added

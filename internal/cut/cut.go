@@ -184,12 +184,13 @@ type mapper struct {
 	// Emission scratch by node ID: stamp[id] == gen marks a node as
 	// visited by the current cone walk or table pass, tabs[id] holds its
 	// table; coneBuf and the walk's coneStack are reused for every LUT's
-	// cone.
+	// cone, pinBuf for its input names (AddLUT copies them).
 	stamp     []uint32
 	gen       uint32
 	tabs      []truth.Table
 	coneBuf   []*network.Node
 	coneStack []coneFrame
+	pinBuf    []string
 	// Enumeration tallies for the run-summary events: candidates removed
 	// by dominance pruning and non-dominated cuts evicted beyond the
 	// priority bound.

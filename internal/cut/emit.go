@@ -2,10 +2,10 @@ package cut
 
 import (
 	"fmt"
-	"strconv"
 
 	"chortle/internal/lut"
 	"chortle/internal/network"
+	"chortle/internal/slab"
 	"chortle/internal/truth"
 )
 
@@ -21,32 +21,46 @@ import (
 //
 // The i-th added gate is named <gate>$b<i>, or, when an input or gate
 // already has that name, the first free <gate>$b<i>$<j> for j = 1, 2, ...
+// A fanin-F gate adds F-2 gates, so the network is grown by exactly
+// that many before they are added; their names and fanin pairs are
+// carved from chunks (internal/slab).
 func binarize(nw *network.Network) int {
+	nodes := nw.Nodes // the gates added below are not revisited
+	adds := 0
+	for _, n := range nodes {
+		if !n.IsInput() && len(n.Fanins) > 2 {
+			adds += len(n.Fanins) - 2
+		}
+	}
+	nw.Grow(adds)
+	var (
+		names       slab.Names
+		pairs       slab.Slab[network.Fanin]
+		level, next []network.Fanin
+	)
 	added := 0
-	var name []byte
-	for _, n := range append([]*network.Node(nil), nw.Nodes...) {
+	for _, n := range nodes {
 		if n.IsInput() || len(n.Fanins) <= 2 {
 			continue
 		}
-		level := n.Fanins
+		level = append(level[:0], n.Fanins...)
 		for len(level) > 2 {
-			next := make([]network.Fanin, 0, (len(level)+1)/2)
+			next = next[:0]
 			for i := 0; i+1 < len(level); i += 2 {
-				name = strconv.AppendInt(append(append(name[:0], n.Name...), "$b"...), int64(added), 10)
-				stem := len(name)
-				for j := 1; nw.Find(string(name)) != nil; j++ {
-					name = strconv.AppendInt(append(name[:stem], '$'), int64(j), 10)
+				name := names.Numbered(n.Name, "$b", added)
+				for j, stem := 1, name; nw.Find(name) != nil; j++ {
+					name = names.Numbered(stem, "$", j)
 				}
-				g := nw.AddGate(string(name), n.Op, level[i], level[i+1])
+				g := nw.AddGate(name, n.Op, pairs.Copy(level[i:i+2])...)
 				added++
 				next = append(next, network.Fanin{Node: g})
 			}
 			if len(level)%2 == 1 {
 				next = append(next, level[len(level)-1])
 			}
-			level = next
+			level, next = next, level
 		}
-		n.Fanins = level
+		n.Fanins = pairs.Copy(level)
 	}
 	nw.Reindex()
 	return added
@@ -57,6 +71,7 @@ func binarize(nw *network.Network) int {
 // table of the gate's cone over its best cut's leaves.
 func (m *mapper) emit() (*lut.Circuit, error) {
 	ckt := lut.New(m.nw.Name, m.opts.K)
+	ckt.Grow(len(m.selected))
 	for _, in := range m.nw.Inputs {
 		ckt.AddInput(in.Name)
 	}
@@ -74,10 +89,11 @@ func (m *mapper) emit() (*lut.Circuit, error) {
 		if err != nil {
 			return nil, err
 		}
-		inputs := make([]string, c.n)
-		for i, l := range c.leafIDs() {
-			inputs[i] = m.nw.Nodes[l].Name
+		inputs := m.pinBuf[:0]
+		for _, l := range c.leafIDs() {
+			inputs = append(inputs, m.nw.Nodes[l].Name)
 		}
+		m.pinBuf = inputs
 		ckt.AddLUT(v.Name, inputs, table)
 		if m.opts.Provenance {
 			m.recordProvenance(ckt, v, c, cone, owner)

@@ -4,15 +4,24 @@
 // exported to BLIF. Per the paper's cost model, area is simply the
 // number of LUTs; output inverters are free (absorbed by the consuming
 // block or IO), so circuit outputs carry a polarity flag.
+//
+// LUTs and their input lists are carved from chunks (internal/slab),
+// not allocated one by one: a *LUT stays valid for as long as it is
+// referenced, and each input list is capped at its length, so an append
+// to one reallocates instead of writing over the next. A mapper that
+// knows how many LUTs it will add says so with Grow.
 package lut
 
 import (
 	"bufio"
 	"fmt"
 	"io"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
+	"chortle/internal/slab"
 	"chortle/internal/truth"
 )
 
@@ -57,6 +66,9 @@ type Circuit struct {
 	// prov holds per-LUT provenance records when the mapper ran with
 	// provenance recording on (see provenance.go). Nil otherwise.
 	prov map[string]*Provenance
+
+	luts slab.Slab[LUT]    // the chunks new LUTs are carved from
+	pins slab.Slab[string] // the chunks their input lists are copied into
 }
 
 // New returns an empty LUT circuit for K-input lookup tables.
@@ -64,7 +76,19 @@ func New(name string, k int) *Circuit {
 	if k < 1 || k > truth.MaxVars {
 		panic(fmt.Sprintf("lut: K=%d out of range [1,%d]", k, truth.MaxVars))
 	}
-	return &Circuit{Name: name, K: k, byName: make(map[string]*LUT)}
+	return &Circuit{Name: name, K: k}
+}
+
+// Grow makes room for n more LUTs: in LUTs, in the chunk new LUTs are
+// carved from and, while the circuit has no LUT yet, in the name index.
+// Like bytes.Buffer.Grow it is a capacity hint; a circuit grown too
+// little or too much holds the same LUTs and writes the same bytes.
+func (c *Circuit) Grow(n int) {
+	c.LUTs = slices.Grow(c.LUTs, n)
+	c.luts.Grow(n)
+	if len(c.byName) == 0 {
+		c.byName = make(map[string]*LUT, n)
+	}
 }
 
 // AddInput declares a primary input signal.
@@ -73,7 +97,7 @@ func (c *Circuit) AddInput(name string) {
 }
 
 // AddLUT appends a lookup table; the name must be unique and the input
-// count must not exceed K.
+// count must not exceed K. The LUT holds a copy of inputs.
 func (c *Circuit) AddLUT(name string, inputs []string, table truth.Table) *LUT {
 	if len(inputs) > c.K {
 		panic(fmt.Sprintf("lut: %q has %d inputs, K=%d", name, len(inputs), c.K))
@@ -84,7 +108,11 @@ func (c *Circuit) AddLUT(name string, inputs []string, table truth.Table) *LUT {
 	if _, dup := c.byName[name]; dup {
 		panic(fmt.Sprintf("lut: duplicate LUT name %q", name))
 	}
-	l := &LUT{Name: name, Inputs: append([]string(nil), inputs...), Table: table, id: len(c.LUTs)}
+	if c.byName == nil {
+		c.byName = make(map[string]*LUT)
+	}
+	l := c.luts.New()
+	*l = LUT{Name: name, Inputs: c.pins.Copy(inputs), Table: table, id: len(c.LUTs)}
 	c.LUTs = append(c.LUTs, l)
 	c.byName[name] = l
 	return l
@@ -351,9 +379,14 @@ func (c *Circuit) Levels() (map[string]int, error) {
 
 // WriteBLIF emits the circuit as a BLIF model whose .names tables are
 // the LUT truth tables (minterm form). Inverted outputs get an explicit
-// inverter table.
+// inverter table. A destination with a Grow(int) method, such as a
+// bytes.Buffer or a strings.Builder, is grown once to the output's
+// length instead of doubling as it fills.
 func (c *Circuit) WriteBLIF(w io.Writer) error {
-	bw := bufio.NewWriter(w)
+	order, err := c.topoOrder()
+	if err != nil {
+		return err
+	}
 	var latchQ map[string]bool
 	if len(c.Latches) > 0 {
 		latchQ = make(map[string]bool, len(c.Latches))
@@ -361,6 +394,13 @@ func (c *Circuit) WriteBLIF(w io.Writer) error {
 			latchQ[l.Q] = true
 		}
 	}
+	outs := append([]Output(nil), c.Outputs...)
+	sort.Slice(outs, func(i, j int) bool { return outs[i].Name < outs[j].Name })
+	emit, reserved := c.blifNames(order, outs)
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		g.Grow(c.blifSize(order, outs, latchQ))
+	}
+	bw := bufio.NewWriter(w)
 	bw.WriteString(".model ")
 	bw.WriteString(c.Name)
 	bw.WriteString("\n.inputs")
@@ -371,17 +411,10 @@ func (c *Circuit) WriteBLIF(w io.Writer) error {
 		writeField(bw, in)
 	}
 	bw.WriteString("\n.outputs")
-	outs := append([]Output(nil), c.Outputs...)
-	sort.Slice(outs, func(i, j int) bool { return outs[i].Name < outs[j].Name })
 	for _, o := range outs {
 		writeField(bw, o.Name)
 	}
 	bw.WriteByte('\n')
-	order, err := c.topoOrder()
-	if err != nil {
-		return err
-	}
-	emit, reserved := c.blifNames(order, outs)
 	// A minterm row is the input values, variable 0 first, then " 1".
 	var row [truth.MaxVars + 3]byte
 	for _, l := range order {
@@ -444,6 +477,44 @@ func (c *Circuit) WriteBLIF(w io.Writer) error {
 	}
 	bw.WriteString(".end\n")
 	return bw.Flush()
+}
+
+// blifSize is the length of WriteBLIF's output, counted from the names
+// and each table's minterms. It is exact when every signal is written
+// under its own name, as plainNames checks. A renamed LUT or a latch
+// inverter adds bytes it does not count; an undefined signal, written as
+// an empty name, counts bytes it does not write.
+func (c *Circuit) blifSize(order []*LUT, outs []Output, latchQ map[string]bool) int {
+	n := len(".model \n.inputs\n.outputs\n.end\n") + len(c.Name)
+	for _, in := range c.Inputs {
+		if !latchQ[in] {
+			n += 1 + len(in)
+		}
+	}
+	for _, o := range outs {
+		n += 1 + len(o.Name)
+		if o.Signal != o.Name || o.Invert {
+			n += len(".names  \n1 1\n") + len(o.Signal) + len(o.Name)
+		}
+	}
+	for _, l := range order {
+		n += len(".names \n") + len(l.Name)
+		for _, in := range l.Inputs {
+			n += 1 + len(in)
+		}
+		switch ok, v := l.Table.IsConst(); {
+		case !ok:
+			n += bits.OnesCount64(l.Table.Bits&truth.Mask(l.Table.N)) * (l.Table.N + len(" 1\n"))
+		case v && len(l.Inputs) > 0:
+			n += len(l.Inputs) + len(" 1\n")
+		case v:
+			n += len("1\n")
+		}
+	}
+	for _, l := range c.Latches {
+		n += len(".latch   0\n") + len(l.D) + len(l.Q)
+	}
+	return n
 }
 
 // blifNames returns the name WriteBLIF gives each signal, and the set of

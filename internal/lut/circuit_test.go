@@ -1,6 +1,8 @@
 package lut
 
 import (
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -340,6 +342,159 @@ func TestWriteBLIFMintermRows(t *testing.T) {
 	for _, table := range []string{".names a b and\n11 1\n.names", ".names a b xor\n10 1\n01 1\n.names"} {
 		if !strings.Contains(text, table) {
 			t.Errorf("missing table %q in\n%s", table, text)
+		}
+	}
+}
+
+// chainCircuit builds n LUTs over three inputs at K=3: LUT i reads LUT
+// i-1 and one or two inputs, every fifth is an inverter of the one
+// before it (a single-fanout LUT Repack can merge), and every LUT drives
+// an output. grow, when positive, is passed to Grow first. It returns
+// the circuit and every pointer AddLUT returned, in order.
+func chainCircuit(n, grow int) (*Circuit, []*LUT) {
+	c := New("chain", 3)
+	if grow > 0 {
+		c.Grow(grow)
+	}
+	ins := []string{"a", "b", "c"}
+	for _, in := range ins {
+		c.AddInput(in)
+	}
+	xor := truth.Var(0, 2).Xor(truth.Var(1, 2))
+	maj := truth.FromFunc(3, func(m uint) bool { return m == 3 || m >= 5 })
+	var made []*LUT
+	prev := "a"
+	for i := 0; i < n; i++ {
+		name := "l" + strconv.Itoa(i)
+		var l *LUT
+		switch {
+		case i%5 == 4:
+			l = c.AddLUT(name, []string{prev}, truth.Var(0, 1).Not())
+		case i%2 == 0:
+			l = c.AddLUT(name, []string{prev, ins[i%3]}, xor)
+		default:
+			l = c.AddLUT(name, []string{prev, ins[i%3], ins[(i+1)%3]}, maj)
+		}
+		made = append(made, l)
+		if i%5 != 3 {
+			c.MarkOutput("y"+strconv.Itoa(i), name, i%3 == 0)
+		}
+		prev = name
+	}
+	return c, made
+}
+
+// LUTs are carved from chunks: the pointers AddLUT returned before a
+// chunk filled are still the ones Find and LUTs hold after several more
+// chunks, with the inputs and tables they were given.
+func TestChunkedLUTsKeepPointers(t *testing.T) {
+	c, made := chainCircuit(5000, 0)
+	for i, l := range made {
+		if c.LUTs[i] != l || c.Find(l.Name) != l {
+			t.Fatalf("LUT %d (%s): LUTs or Find no longer hold what AddLUT returned", i, l.Name)
+		}
+		if i > 0 && l.Inputs[0] != made[i-1].Name {
+			t.Fatalf("LUT %d reads %q first, want %q", i, l.Inputs[0], made[i-1].Name)
+		}
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Input lists are carved from a shared chunk, each capped at its
+// length: appending to one LUT's inputs leaves every other LUT as it
+// was, and AddLUT keeps a copy of the list it was given.
+func TestLUTInputAppendIsolated(t *testing.T) {
+	c, _ := chainCircuit(100, 0)
+	before := c.String()
+	l := c.Find("l50")
+	if cap(l.Inputs) != len(l.Inputs) {
+		t.Fatalf("l50 inputs: len %d, cap %d", len(l.Inputs), cap(l.Inputs))
+	}
+	l.Inputs = append(l.Inputs, "c")
+	l.Inputs = l.Inputs[:len(l.Inputs)-1]
+	if got := c.String(); got != before {
+		t.Fatal("appending to one LUT's inputs changed another LUT")
+	}
+	in := []string{"a", "b"}
+	c.AddLUT("extra", in, truth.Var(0, 2).And(truth.Var(1, 2)))
+	in[0] = "c"
+	if got := c.Find("extra").Inputs[0]; got != "a" {
+		t.Fatalf("AddLUT shares its caller's list: extra reads %q", got)
+	}
+}
+
+// A circuit grown exactly, too little, too much or not at all writes
+// the same bytes, before and after Repack, which removes the same LUTs
+// from each.
+func TestGrowIsOnlyAHint(t *testing.T) {
+	const luts = 1200
+	write := func(c *Circuit) string {
+		var sb strings.Builder
+		if err := c.WriteBLIF(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	want, _ := chainCircuit(luts, 0)
+	wantBLIF := write(want)
+	wantRemoved, err := want.Repack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantRemoved == 0 {
+		t.Fatal("the chain has no LUT to repack")
+	}
+	wantRepacked := write(want)
+	for _, grow := range []int{1, luts / 2, luts, 10 * luts} {
+		c, _ := chainCircuit(luts, grow)
+		if got := write(c); got != wantBLIF {
+			t.Fatalf("Grow(%d): BLIF differs from an ungrown circuit's", grow)
+		}
+		removed, err := c.Repack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if removed != wantRemoved {
+			t.Fatalf("Grow(%d): Repack removed %d LUTs, want %d", grow, removed, wantRemoved)
+		}
+		if got := write(c); got != wantRepacked {
+			t.Fatalf("Grow(%d): repacked BLIF differs from an ungrown circuit's", grow)
+		}
+	}
+}
+
+// blifSize, which sizes a growable destination, is the exact length of
+// the output whenever every signal is written under its own name, and
+// never more otherwise, save for undefined signals.
+func TestBLIFSize(t *testing.T) {
+	cases := blifCases()
+	chain, _ := chainCircuit(500, 0)
+	cases["chain"] = chain
+	cases["sample"] = sampleCircuit()
+	for name, c := range cases {
+		var sb strings.Builder
+		if err := c.WriteBLIF(&sb); err != nil {
+			t.Fatal(err)
+		}
+		order, err := c.topoOrder()
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs := append([]Output(nil), c.Outputs...)
+		sort.Slice(outs, func(i, j int) bool { return outs[i].Name < outs[j].Name })
+		latchQ := make(map[string]bool)
+		for _, l := range c.Latches {
+			latchQ[l.Q] = true
+		}
+		size := c.blifSize(order, outs, latchQ)
+		switch {
+		case name == "undefined":
+		case c.plainNames(outs) && size != sb.Len():
+			t.Errorf("%s: blifSize %d, wrote %d bytes", name, size, sb.Len())
+		case size > sb.Len():
+			t.Errorf("%s: blifSize %d exceeds the %d bytes written", name, size, sb.Len())
 		}
 	}
 }

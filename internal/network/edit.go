@@ -135,24 +135,23 @@ func (nw *Network) owns(n *Node) bool {
 
 // Clone returns a deep copy of the network. Node identity is fresh; the
 // copy can be edited without affecting the original. The copied nodes
-// share one allocation and so do their fanin lists, each capped at its
-// length. A fanin, output or latch driver outside nw.Nodes has no copy
-// and becomes nil.
+// fill one chunk and their fanin lists share one allocation, each list
+// capped at its length. A fanin, output or latch driver outside nw.Nodes
+// has no copy and becomes nil.
 func (nw *Network) Clone() *Network {
-	cp := &Network{Name: nw.Name, byName: make(map[string]*Node, len(nw.Nodes))}
-	nodes := make([]Node, len(nw.Nodes))
+	cp := New(nw.Name)
+	cp.Grow(len(nw.Nodes))
+	cp.Inputs = slices.Grow(cp.Inputs, len(nw.Inputs))
 	total := 0
 	for _, n := range nw.Nodes {
 		total += len(n.Fanins)
 	}
 	fanins := make([]Fanin, total)
-	cp.Nodes = make([]*Node, 0, len(nw.Nodes))
-	for i, n := range nw.Nodes {
-		nn := &nodes[i]
-		nn.Name, nn.Op = n.Name, n.Op
-		cp.insert(nn)
+	for _, n := range nw.Nodes {
 		if n.IsInput() {
-			cp.Inputs = append(cp.Inputs, nn)
+			cp.AddInput(n.Name)
+		} else {
+			cp.insert(n.Name, n.Op)
 		}
 	}
 	// IDs may be stale if nw was edited without a Reindex; position
@@ -163,7 +162,7 @@ func (nw *Network) Clone() *Network {
 			return nil
 		}
 		if nw.owns(n) {
-			return &nodes[n.ID]
+			return cp.Nodes[n.ID]
 		}
 		if pos == nil {
 			pos = make(map[*Node]int, len(nw.Nodes))
@@ -172,7 +171,7 @@ func (nw *Network) Clone() *Network {
 			}
 		}
 		if i, ok := pos[n]; ok {
-			return &nodes[i]
+			return cp.Nodes[i]
 		}
 		return nil
 	}
@@ -185,11 +184,13 @@ func (nw *Network) Clone() *Network {
 		for j, f := range n.Fanins {
 			fs[j] = Fanin{Node: copyOf(f.Node), Invert: f.Invert}
 		}
-		nodes[i].Fanins = fs
+		cp.Nodes[i].Fanins = fs
 	}
+	cp.Outputs = slices.Grow(cp.Outputs, len(nw.Outputs))
 	for _, o := range nw.Outputs {
 		cp.Outputs = append(cp.Outputs, Output{Name: o.Name, Node: copyOf(o.Node), Invert: o.Invert})
 	}
+	cp.Latches = slices.Grow(cp.Latches, len(nw.Latches))
 	for _, l := range nw.Latches {
 		cp.Latches = append(cp.Latches, Latch{Q: l.Q, D: copyOf(l.D), DInv: l.DInv, Init: l.Init})
 	}

@@ -5,13 +5,20 @@
 // This is the technology-independent form handed to the mappers; the
 // logic optimizer (internal/opt) produces it and both Chortle
 // (internal/core) and the MIS-style baseline (internal/mismap) consume it.
+//
+// Nodes are carved from chunks (internal/slab), not allocated one by
+// one: a *Node stays valid for as long as it is referenced, whatever is
+// added after it. Code that knows how many nodes it will add says so
+// with Grow, which sizes Nodes, the chunk and the name index once.
 package network
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"chortle/internal/cerrs"
+	"chortle/internal/slab"
 )
 
 // Op is the Boolean operation of a node.
@@ -100,46 +107,62 @@ type Network struct {
 	Latches []Latch
 
 	byName map[string]*Node
+	nodes  slab.Slab[Node] // the chunks new nodes are carved from
 }
 
 // New returns an empty network with the given model name.
 func New(name string) *Network {
-	return &Network{Name: name, byName: make(map[string]*Node)}
+	return &Network{Name: name}
+}
+
+// Grow makes room for n more nodes: in Nodes, in the chunk new nodes
+// are carved from and, while the network has no node yet, in the name
+// index. Like bytes.Buffer.Grow it is a capacity hint; a network grown
+// too little or too much holds the same nodes.
+func (nw *Network) Grow(n int) {
+	nw.Nodes = slices.Grow(nw.Nodes, n)
+	nw.nodes.Grow(n)
+	if len(nw.byName) == 0 {
+		nw.byName = make(map[string]*Node, n)
+	}
 }
 
 // AddInput creates and returns a primary input node. Duplicate names are
 // a programming error and panic.
 func (nw *Network) AddInput(name string) *Node {
-	n := &Node{Name: name, Op: OpInput}
-	nw.insert(n)
+	n := nw.insert(name, OpInput)
 	nw.Inputs = append(nw.Inputs, n)
 	return n
 }
 
-// AddGate creates a gate node computing op over the fanins.
+// AddGate creates a gate node computing op over the fanins. The node
+// keeps the fanins slice itself, not a copy.
 func (nw *Network) AddGate(name string, op Op, fanins ...Fanin) *Node {
 	if op != OpAnd && op != OpOr {
 		panic("network: AddGate requires OpAnd or OpOr")
 	}
-	n := &Node{Name: name, Op: op, Fanins: fanins}
-	nw.insert(n)
+	n := nw.insert(name, op)
+	n.Fanins = fanins
 	return n
 }
 
-func (nw *Network) insert(n *Node) {
+// insert carves a node from the chunk and registers it under name.
+func (nw *Network) insert(name string, op Op) *Node {
 	if nw.byName == nil {
 		nw.byName = make(map[string]*Node)
 	}
-	if _, dup := nw.byName[n.Name]; dup {
+	if _, dup := nw.byName[name]; dup {
 		// A programming error at this layer, but reachable from user
 		// input through builder paths; the panic value is an error
 		// wrapping the sentinel so the public API boundary can recover
 		// it into something errors.Is can classify.
-		panic(fmt.Errorf("network: %w: node %q", cerrs.ErrDuplicateName, n.Name))
+		panic(fmt.Errorf("network: %w: node %q", cerrs.ErrDuplicateName, name))
 	}
-	n.ID = len(nw.Nodes)
+	n := nw.nodes.New()
+	n.Name, n.Op, n.ID = name, op, len(nw.Nodes)
 	nw.Nodes = append(nw.Nodes, n)
-	nw.byName[n.Name] = n
+	nw.byName[name] = n
+	return n
 }
 
 // Find returns the node with the given name, or nil.

@@ -1,7 +1,10 @@
 package network
 
 import (
+	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -413,4 +416,131 @@ func TestSweepAndCloneOutsideNodes(t *testing.T) {
 	if len(cp.Inputs) != 2 || cp.Inputs[0] != cp.Find("b") || cp.Inputs[1] != cp.Find("a") {
 		t.Fatalf("clone has %d inputs; want b, a in node order", len(cp.Inputs))
 	}
+}
+
+// chainNetwork builds n gates over four inputs: gate i ANDs or ORs gate
+// i-1 with an input, every seventh gate is a buffer of the one before
+// it, and every eleventh gate is dead. grow, when positive, is passed to
+// Grow first. It returns the network and every node pointer AddInput
+// and AddGate returned, in order.
+func chainNetwork(n, grow int) (*Network, []*Node) {
+	nw := New("chain")
+	if grow > 0 {
+		nw.Grow(grow)
+	}
+	var made []*Node
+	for _, name := range []string{"a", "b", "c", "d"} {
+		made = append(made, nw.AddInput(name))
+	}
+	prev := made[0]
+	for i := 0; i < n; i++ {
+		name := "g" + strconv.Itoa(i)
+		var g *Node
+		switch {
+		case i%7 == 6:
+			g = nw.AddGate(name, OpAnd, Fanin{Node: prev, Invert: true})
+		case i%11 == 10:
+			g = nw.AddGate(name, OpOr, Fanin{Node: made[i%4]}, Fanin{Node: made[(i+1)%4]})
+		default:
+			op := OpAnd
+			if i%2 == 1 {
+				op = OpOr
+			}
+			g = nw.AddGate(name, op, Fanin{Node: prev}, Fanin{Node: made[i%4], Invert: i%3 == 0})
+		}
+		made = append(made, g)
+		if i%11 != 10 {
+			prev = g
+		}
+	}
+	nw.MarkOutput("y", prev, false)
+	return nw, made
+}
+
+// Nodes are carved from chunks: the pointers AddInput and AddGate
+// returned before a chunk filled are still the ones Find and Nodes hold
+// after several more chunks, with the names, ops and fanins they were
+// given.
+func TestChunkedNodesKeepPointers(t *testing.T) {
+	nw, made := chainNetwork(5000, 0)
+	if len(nw.Nodes) != len(made) {
+		t.Fatalf("%d nodes, made %d", len(nw.Nodes), len(made))
+	}
+	for i, n := range made {
+		if nw.Nodes[i] != n || nw.Find(n.Name) != n || n.ID != i {
+			t.Fatalf("node %d (%s): Nodes, Find or ID no longer agree with AddGate", i, n.Name)
+		}
+	}
+	for i := 4; i < len(made); i++ {
+		n := made[i]
+		if n.Name != "g"+strconv.Itoa(i-4) || len(n.Fanins) == 0 {
+			t.Fatalf("node %d reads %q with %d fanins", i, n.Name, len(n.Fanins))
+		}
+	}
+}
+
+// A network grown exactly, too little, too much or not at all holds the
+// same nodes, and Sweep removes the same ones from each.
+func TestGrowIsOnlyAHint(t *testing.T) {
+	const gates = 3000
+	want, _ := chainNetwork(gates, 0)
+	wantDump := dumpNetwork(want)
+	wantRemoved := want.Sweep()
+	wantSwept := dumpNetwork(want)
+	if wantRemoved == 0 {
+		t.Fatal("the chain has no buffer or dead gate to sweep")
+	}
+	for _, grow := range []int{1, gates / 2, gates + 4, 10 * gates} {
+		nw, _ := chainNetwork(gates, grow)
+		if got := dumpNetwork(nw); got != wantDump {
+			t.Fatalf("Grow(%d): network differs from an ungrown one", grow)
+		}
+		if removed := nw.Sweep(); removed != wantRemoved {
+			t.Fatalf("Grow(%d): Sweep removed %d nodes, want %d", grow, removed, wantRemoved)
+		}
+		if got := dumpNetwork(nw); got != wantSwept {
+			t.Fatalf("Grow(%d): swept network differs from an ungrown one", grow)
+		}
+		if err := nw.Validate(); err != nil {
+			t.Fatalf("Grow(%d): %v", grow, err)
+		}
+	}
+}
+
+// A clone's fanin lists share one allocation, each capped at its
+// length: appending to one gate's fanins leaves every other node as it
+// was.
+func TestCloneFaninAppendIsolated(t *testing.T) {
+	orig, _ := chainNetwork(200, 0)
+	cp := orig.Clone()
+	before := dumpNetwork(cp)
+	g := cp.Find("g100")
+	g.Fanins = append(g.Fanins, Fanin{Node: cp.Find("d")})
+	g.Fanins = g.Fanins[:len(g.Fanins)-1]
+	if got := dumpNetwork(cp); got != before {
+		t.Fatal("appending to one gate's fanins changed another node")
+	}
+	if got, want := dumpNetwork(cp), dumpNetwork(orig); got != want {
+		t.Fatal("clone differs from its original")
+	}
+}
+
+// dumpNetwork renders every node with its fanins, the outputs and the
+// inputs, by name.
+func dumpNetwork(nw *Network) string {
+	var sb strings.Builder
+	for _, n := range nw.Nodes {
+		fmt.Fprintf(&sb, "%s %s %d:", n.Name, n.Op, n.ID)
+		for _, f := range n.Fanins {
+			fmt.Fprintf(&sb, " %s/%v", f.Node.Name, f.Invert)
+		}
+		sb.WriteByte('\n')
+	}
+	for _, o := range nw.Outputs {
+		fmt.Fprintf(&sb, "out %s = %s/%v\n", o.Name, o.Node.Name, o.Invert)
+	}
+	for _, in := range nw.Inputs {
+		fmt.Fprintf(&sb, "in %s\n", in.Name)
+	}
+	return sb.String()
 }
