@@ -518,6 +518,17 @@ func (sr *statusRecorder) Write(b []byte) (int, error) {
 	return sr.ResponseWriter.Write(b)
 }
 
+// WriteString passes s to the wrapped writer's WriteString when it has
+// one, as net/http's does, so a response written as a string is not
+// copied into a byte slice first.
+func (sr *statusRecorder) WriteString(s string) (int, error) {
+	if !sr.wrote {
+		sr.code = http.StatusOK
+	}
+	sr.wrote = true
+	return io.WriteString(sr.ResponseWriter, s)
+}
+
 // withPanicIsolation converts a panicking request into a 500 plus an
 // incident log instead of a dead server. http.Server's own recovery
 // would only kill the connection; this answers the client and keeps a
@@ -691,9 +702,11 @@ func (s *mapServer) handleMap(m *serverMetrics) http.HandlerFunc {
 		opts.SharedCache = s.cfg.cache
 		// The request trace's bounded collector rides beside the
 		// process-wide metrics bridge, joining the engine's own phase
-		// events to this request's span tree.
+		// events to this request's span tree. It keeps phase ends only:
+		// they are all Finish turns into spans, and a large circuit's
+		// per-tree and per-LUT events would push them out of the ring.
 		if reqObs := rt.Observer(); reqObs != nil {
-			opts.Observer = chortle.MultiObserver{s.obs, reqObs}
+			opts.Observer = chortle.MultiObserver{s.obs, phaseEnds{reqObs}}
 		} else {
 			opts.Observer = s.obs
 		}

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -735,5 +736,41 @@ func TestMapErrorClassification(t *testing.T) {
 				t.Errorf("incident with stack logged = %v, want %v; log:\n%s", got, c.incident, logged)
 			}
 		})
+	}
+}
+
+// stringSink is a ResponseWriter that records each string written to it
+// through WriteString.
+type stringSink struct {
+	*httptest.ResponseRecorder
+	strings []string
+}
+
+func (s *stringSink) WriteString(str string) (int, error) {
+	s.strings = append(s.strings, str)
+	return s.ResponseRecorder.WriteString(str)
+}
+
+// TestStatusRecorderPassesStrings writes a string through the two
+// recorders a /map response passes (the request trace's and the panic
+// isolator's): it must reach the underlying writer's WriteString, not be
+// copied into a byte slice for Write, and both must record the 200.
+func TestStatusRecorderPassesStrings(t *testing.T) {
+	sink := &stringSink{ResponseRecorder: httptest.NewRecorder()}
+	inner := &statusRecorder{ResponseWriter: sink}
+	outer := &statusRecorder{ResponseWriter: inner}
+	if _, err := io.WriteString(outer, "body"); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(sink.strings, []string{"body"}) {
+		t.Fatalf("underlying WriteString got %q, want [\"body\"]", sink.strings)
+	}
+	if sink.Body.String() != "body" {
+		t.Fatalf("body %q", sink.Body.String())
+	}
+	for _, sr := range []*statusRecorder{inner, outer} {
+		if !sr.wrote || sr.code != http.StatusOK {
+			t.Fatalf("recorder wrote=%v code=%d, want a committed 200", sr.wrote, sr.code)
+		}
 	}
 }

@@ -298,6 +298,20 @@ func (l *accessLogger) record(rec chortle.AccessRecord) {
 	l.err = l.enc.Encode(rec)
 }
 
+// requestEventRing bounds the engine events one request's trace keeps.
+const requestEventRing = 512
+
+// phaseEnds passes only the engine's phase-end events to o, the
+// request's bounded collector: those are the events Finish turns into
+// engine:<phase> spans.
+type phaseEnds struct{ o chortle.Observer }
+
+func (p phaseEnds) Observe(e chortle.Event) {
+	if e.Kind == chortle.EventPhaseEnd {
+		p.o.Observe(e)
+	}
+}
+
 // withRequestTrace opens the request's trace before anything else and
 // closes it after everything else — including the panic isolator it
 // wraps, so a panic-500 still produces a complete access-log line. The
@@ -306,7 +320,7 @@ func (l *accessLogger) record(rec chortle.AccessRecord) {
 func (s *mapServer) withRequestTrace(m *serverMetrics, next http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		traceID, parent, _ := chortle.ParseTraceparent(r.Header.Get(chortle.TraceparentHeader))
-		rt := chortle.NewReqTrace("chortled", "request", traceID, parent, 64, 512)
+		rt := chortle.NewReqTrace("chortled", "request", traceID, parent, 64, requestEventRing)
 		st := &requestState{
 			rt: rt, start: time.Now(),
 			method: r.Method, path: r.URL.Path, stage: stageAdmission,

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -494,5 +495,59 @@ func TestStatsPerEngineBreakdown(t *testing.T) {
 	}
 	if _, ok := st.Engines["mis"]; ok {
 		t.Error("unused engine reported in /stats")
+	}
+}
+
+// TestAccessLogKeepsEveryEnginePhase maps a circuit with more LUTs than
+// a request's event ring holds. Per-tree and per-LUT events outnumber
+// the ring, yet the access record must carry one engine:<phase> span
+// for every phase the engine ran, in order.
+func TestAccessLogKeepsEveryEnginePhase(t *testing.T) {
+	var logBuf bytes.Buffer
+	_, ts := newTestServer(t, serverConfig{
+		maxInflight: 1, maxQueue: 0,
+		accessLog: newAccessLogger(&logBuf),
+	})
+	nw := bench.Synthetic(bench.SyntheticSpec{Name: "wide", Inputs: 48, Outputs: 48, Gates: 1500, Seed: 7})
+	var sb strings.Builder
+	if err := chortle.WriteBLIF(&sb, nw); err != nil {
+		t.Fatal(err)
+	}
+	resp, mr := postMap(t, ts.URL+"/map?k=2", sb.String(), "text/plain")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("map: HTTP %d", resp.StatusCode)
+	}
+	if mr.LUTs <= requestEventRing {
+		t.Fatalf("%d LUTs: the circuit must emit more LUT events than the ring's %d", mr.LUTs, requestEventRing)
+	}
+
+	// The phases an unbounded observer sees on the same map.
+	var want []string
+	opts := chortle.DefaultOptions(2)
+	opts.Observer = chortle.ObserverFunc(func(e chortle.Event) {
+		if e.Kind == chortle.EventPhaseEnd {
+			want = append(want, "engine:"+e.Phase)
+		}
+	})
+	local, err := chortle.ReadBLIF(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := chortle.MapCtx(context.Background(), local, opts); err != nil {
+		t.Fatal(err)
+	}
+
+	var rec chortle.AccessRecord
+	if err := json.Unmarshal(logBuf.Bytes(), &rec); err != nil {
+		t.Fatalf("access record: %v", err)
+	}
+	var got []string
+	for _, sp := range rec.Spans {
+		if strings.HasPrefix(sp.Name, "engine:") {
+			got = append(got, sp.Name)
+		}
+	}
+	if len(want) == 0 || !slices.Equal(got, want) {
+		t.Fatalf("access record engine spans %q, want %q", got, want)
 	}
 }

@@ -86,7 +86,6 @@ type crfMapping struct {
 // crfState runs the strategy over one tree.
 type crfState struct {
 	m    *mapper
-	arr  map[*network.Node]int32
 	cost int32
 }
 
@@ -280,16 +279,16 @@ func (cs *crfState) leafSignal(n *network.Node) (string, int32, error) {
 	if n.IsInput() {
 		return n.Name, 0, nil
 	}
-	sig, ok := cs.m.sig[n]
-	if !ok {
+	r := cs.m.roots[n.ID]
+	if !r.ok {
 		return "", 0, fmt.Errorf("core: tree root %q not yet realized", n.Name)
 	}
-	return sig, cs.arr[n], nil
+	return r.sig, r.arr, nil
 }
 
 // realizeTreeCRF maps one tree with the bin-packing strategy.
-func (m *mapper) realizeTreeCRF(root *network.Node, arr map[*network.Node]int32) (int32, error) {
-	cs := &crfState{m: m, arr: arr}
+func (m *mapper) realizeTreeCRF(root *network.Node) (int32, error) {
+	cs := &crfState{m: m}
 	mp, err := cs.mapNode(root)
 	if err != nil {
 		return 0, err
@@ -310,7 +309,6 @@ func (m *mapper) realizeTreeCRF(root *network.Node, arr map[*network.Node]int32)
 		cs.recordCRFProv(name, it, "")
 	}
 	cs.cost++
-	m.sig[root] = name
-	arr[root] = mp.item.arrival + 1
+	m.realize(root, name, mp.item.arrival+1)
 	return cs.cost, nil
 }

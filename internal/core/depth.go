@@ -250,12 +250,12 @@ func errUnmappable(name string, k int) error {
 // realizeTreeDepth maps one tree depth-first and registers its signal
 // and arrival. A governor abort (cancellation, budget) surfaces as the
 // returned error; Map degrades budget-exhausted trees to bin packing.
-func (m *mapper) realizeTreeDepth(root *network.Node, arr map[*network.Node]int32, gov *governor) (int32, error) {
+func (m *mapper) realizeTreeDepth(root *network.Node, gov *governor) (int32, error) {
 	leafArr := func(n *network.Node) int32 {
 		if n.IsInput() {
 			return 0
 		}
-		return arr[n]
+		return m.roots[n.ID].arr
 	}
 	ds, err := solveDepthDP(m.f, root, m.opts, leafArr, gov)
 	if err != nil {
@@ -275,7 +275,6 @@ func (m *mapper) realizeTreeDepth(root *network.Node, arr map[*network.Node]int3
 	if err != nil {
 		return 0, err
 	}
-	m.sig[root] = sig
-	arr[root] = ds.bestArr
+	m.realize(root, sig, ds.bestArr)
 	return ds.bestCost, nil
 }

@@ -68,12 +68,17 @@ type mapper struct {
 	nw   *network.Network
 	f    *forest.Forest
 	ckt  *lut.Circuit
-	sig  map[*network.Node]string // realized signal of PIs and tree roots
-	seq  int
+	// roots holds, by node ID, the realized signal of every mapped tree
+	// root and, for the bin-packing and depth paths, its arrival.
+	roots []realized
+	seq   int
 
 	// isInput is the set of circuit input names, which fresh names and
 	// root LUT names must avoid.
 	isInput map[string]bool
+	// pending is the name rootName gave the tree root being realized.
+	// Its LUT is added after its children's, so fresh must skip it.
+	pending string
 	// names holds every name fresh made.
 	names slab.Names
 
@@ -89,6 +94,19 @@ type mapper struct {
 	provUnits  int64
 }
 
+// realized is a mapped tree root: the signal that carries it and its
+// arrival level in LUTs.
+type realized struct {
+	sig string
+	arr int32
+	ok  bool
+}
+
+// realize records root's signal and arrival.
+func (m *mapper) realize(root *network.Node, sig string, arr int32) {
+	m.roots[root.ID] = realized{sig: sig, arr: arr, ok: true}
+}
+
 // newMapper starts the reconstruction of the forest f of nw into an
 // empty circuit holding nw's inputs.
 func newMapper(nw *network.Network, f *forest.Forest, opts Options) *mapper {
@@ -97,7 +115,7 @@ func newMapper(nw *network.Network, f *forest.Forest, opts Options) *mapper {
 		nw:      nw,
 		f:       f,
 		ckt:     lut.New(nw.Name, opts.K),
-		sig:     make(map[*network.Node]string, len(f.Roots)),
+		roots:   make([]realized, len(nw.Nodes)),
 		isInput: make(map[string]bool, len(nw.Inputs)),
 	}
 	for _, in := range nw.Inputs {
@@ -111,7 +129,7 @@ func newMapper(nw *network.Network, f *forest.Forest, opts Options) *mapper {
 func (m *mapper) fresh(base string) string {
 	for {
 		m.seq++
-		if name := m.names.Numbered(base, "$l", m.seq); m.ckt.Find(name) == nil && !m.isInput[name] {
+		if name := m.names.Numbered(base, "$l", m.seq); m.ckt.Find(name) == nil && !m.isInput[name] && name != m.pending {
 			return name
 		}
 	}
@@ -120,10 +138,11 @@ func (m *mapper) fresh(base string) string {
 // rootName is the name of a tree's root LUT: the root's own name, or a
 // fresh one when an earlier LUT or a circuit input already holds it.
 func (m *mapper) rootName(root *network.Node) string {
+	m.pending = root.Name
 	if m.ckt.Find(root.Name) != nil || m.isInput[root.Name] {
-		return m.fresh(root.Name)
+		m.pending = m.fresh(root.Name)
 	}
-	return root.Name
+	return m.pending
 }
 
 // leafSignal resolves a leaf edge's node to its finished signal: the PI
@@ -132,11 +151,11 @@ func (m *mapper) leafSignal(n *network.Node) (string, error) {
 	if n.IsInput() {
 		return n.Name, nil
 	}
-	sig, ok := m.sig[n]
-	if !ok {
+	r := m.roots[n.ID]
+	if !r.ok {
 		return "", fmt.Errorf("core: tree root %q not yet realized", n.Name)
 	}
-	return sig, nil
+	return r.sig, nil
 }
 
 // signalOf realizes fanin fr as a finished signal: leaf edges resolve to
@@ -254,7 +273,7 @@ func (m *mapper) realizeTreeFromDP(root *network.Node, dp *nodeDP) (int32, error
 	if err != nil {
 		return 0, err
 	}
-	m.sig[root] = sig
+	m.realize(root, sig, 0)
 	return dp.bestCost, nil
 }
 

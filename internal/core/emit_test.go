@@ -156,3 +156,85 @@ func TestReconstructRefusesCorruptChoices(t *testing.T) {
 		}
 	}
 }
+
+// TestReconstructRootNameClashes pins two trees whose root names have
+// the form of fresh LUT names. Root g$l1 finds its name taken by an
+// intermediate LUT of tree g, mapped before it, and takes a fresh one.
+// Root c$l1 holds its name while its own child, whose LUT is added
+// first, is named: the child must skip c$l1, where it once took it and
+// the root's LUT panicked as a duplicate.
+func TestReconstructRootNameClashes(t *testing.T) {
+	fin := func(n *network.Node, inv bool) network.Fanin { return network.Fanin{Node: n, Invert: inv} }
+	mapped := func(nw *network.Network) string {
+		t.Helper()
+		res, err := Map(nw, DefaultOptions(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		if err := res.Circuit.WriteBLIF(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+
+	nw := network.New("rootclash")
+	var ins []*network.Node
+	for _, name := range []string{"a", "b", "c", "d", "e", "f"} {
+		ins = append(ins, nw.AddInput(name))
+	}
+	g := nw.AddGate("g", network.OpAnd, fin(ins[0], false), fin(ins[1], true), fin(ins[2], false), fin(ins[3], false), fin(ins[5], false))
+	h := nw.AddGate("g$l1", network.OpOr, fin(g, true), fin(ins[4], true), fin(ins[5], false))
+	nw.MarkOutput("y1", g, false)
+	nw.MarkOutput("y2", h, false)
+	const wantTaken = `.model rootclash
+.inputs a b c d e f
+.outputs y1 y2
+.names d f g$l3
+11 1
+.names c g$l3 g$l2
+11 1
+.names b g$l2 g$l1
+01 1
+.names a g$l1 g
+11 1
+.names e f g$l1$l5
+00 1
+01 1
+11 1
+.names g g$l1$l5 g$l1$l4
+00 1
+01 1
+11 1
+.names g y1
+1 1
+.names g$l1$l4 y2
+1 1
+.end
+`
+	if got := mapped(nw); got != wantTaken {
+		t.Errorf("taken root name: BLIF\n%s\nwant:\n%s", got, wantTaken)
+	}
+
+	nw = network.New("selfclash")
+	a, b, d := nw.AddInput("a"), nw.AddInput("b"), nw.AddInput("d")
+	c := nw.AddGate("c", network.OpAnd, fin(a, false), fin(b, false))
+	r := nw.AddGate("c$l1", network.OpOr, fin(c, false), fin(d, false))
+	nw.MarkOutput("y", r, false)
+	const wantPending = `.model selfclash
+.inputs a b d
+.outputs y
+.names a b c$l2
+11 1
+.names c$l2 d c$l1
+10 1
+01 1
+11 1
+.names c$l1 y
+1 1
+.end
+`
+	if got := mapped(nw); got != wantPending {
+		t.Errorf("pending root name: BLIF\n%s\nwant:\n%s", got, wantPending)
+	}
+}

@@ -114,7 +114,6 @@ func MapCtx(ctx context.Context, input *network.Network, opts Options) (*Result,
 
 	predicted := 0
 	var degraded []string
-	arrivals := make(map[*network.Node]int32)
 	// With the default strategy and objective, per-tree DPs are
 	// independent (tree costs never depend on other trees' results), so
 	// they run concurrently and identical shapes share one solve;
@@ -146,11 +145,11 @@ func MapCtx(ctx context.Context, input *network.Network, opts Options) (*Result,
 		switch {
 		case opts.Strategy == StrategyBinPack:
 			m.setProvTree(root.Name, lut.OriginBinPack, 0)
-			cost, err = m.realizeTreeCRF(root, arrivals)
+			cost, err = m.realizeTreeCRF(root)
 		case opts.OptimizeDepth:
 			gov := mctx.newGov()
 			solveStart := tr.now()
-			cost, err = m.realizeTreeDepth(root, arrivals, gov)
+			cost, err = m.realizeTreeDepth(root, gov)
 			if err == nil {
 				tr.treeSolve(root.Name, gov.units, cost, solveStart)
 			}
@@ -162,7 +161,7 @@ func MapCtx(ctx context.Context, input *network.Network, opts Options) (*Result,
 			// strategy, which needs no search budget, and keep going.
 			tr.budgetExhausted(root.Name, opts.Budget.WorkUnits)
 			m.setProvTree(root.Name, lut.OriginDegraded, 0)
-			cost, err = m.realizeTreeCRF(root, arrivals)
+			cost, err = m.realizeTreeCRF(root)
 			if err == nil {
 				degraded = append(degraded, root.Name)
 				tr.treeDegraded(root.Name, cost)
@@ -182,22 +181,22 @@ func MapCtx(ctx context.Context, input *network.Network, opts Options) (*Result,
 			m.ckt.MarkOutput(o.Name, o.Node.Name, o.Invert)
 			continue
 		}
-		sig, ok := m.sig[o.Node]
-		if !ok {
+		r := m.roots[o.Node.ID]
+		if !r.ok {
 			return nil, fmt.Errorf("core: output %q driver %q was not mapped", o.Name, o.Node.Name)
 		}
-		m.ckt.MarkOutput(o.Name, sig, o.Invert)
+		m.ckt.MarkOutput(o.Name, r.sig, o.Invert)
 	}
 	for _, l := range nw.Latches {
 		if l.D.IsInput() {
 			m.ckt.AddLatch(l.Q, l.D.Name, l.DInv, l.Init)
 			continue
 		}
-		sig, ok := m.sig[l.D]
-		if !ok {
+		r := m.roots[l.D.ID]
+		if !r.ok {
 			return nil, fmt.Errorf("core: latch %q driver %q was not mapped", l.Q, l.D.Name)
 		}
-		m.ckt.AddLatch(l.Q, sig, l.DInv, l.Init)
+		m.ckt.AddLatch(l.Q, r.sig, l.DInv, l.Init)
 	}
 
 	if err := m.ckt.Validate(); err != nil {

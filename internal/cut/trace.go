@@ -51,8 +51,11 @@ func (t tracer) circuit(ckt *lut.Circuit, roots int) {
 	}
 	depth := 0
 	now := time.Now()
-	for _, l := range ckt.LUTs {
-		lv := levels[l.Name]
+	for i, l := range ckt.LUTs {
+		lv := 0
+		if levels != nil {
+			lv = levels[i]
+		}
 		if lv > depth {
 			depth = lv
 		}

@@ -22,7 +22,9 @@ type Forest struct {
 	// their consumers.
 	Roots []*network.Node
 
-	rootSet map[*network.Node]bool
+	// root holds, by node ID, each tree root at its own ID and nil
+	// elsewhere, so a root test is one load and compare.
+	root []*network.Node
 }
 
 // Decompose splits the network into maximal fanout-free trees.
@@ -34,17 +36,20 @@ func Decompose(nw *network.Network) (*Forest, error) {
 	}
 	nw.Reindex()
 	counts := nw.FanoutCounts()
-
-	f := &Forest{Net: nw, rootSet: make(map[*network.Node]bool)}
-	isRoot := func(n *network.Node) bool {
-		if n.IsInput() {
-			return false
-		}
-		return counts[n.ID] != 1 || drivesOutput(nw, n)
+	// A node driving an output or a latch roots a tree whatever its
+	// fanout; mark those drivers in one pass.
+	drives := make([]bool, len(nw.Nodes))
+	for _, o := range nw.Outputs {
+		drives[o.Node.ID] = true
 	}
+	for _, l := range nw.Latches {
+		drives[l.D.ID] = true
+	}
+
+	f := &Forest{Net: nw, root: make([]*network.Node, len(nw.Nodes))}
 	for _, n := range order {
-		if isRoot(n) {
-			f.rootSet[n] = true
+		if !n.IsInput() && (counts[n.ID] != 1 || drives[n.ID]) {
+			f.root[n.ID] = n
 			f.Roots = append(f.Roots, n)
 		}
 	}
@@ -54,27 +59,15 @@ func Decompose(nw *network.Network) (*Forest, error) {
 	return f, nil
 }
 
-func drivesOutput(nw *network.Network, n *network.Node) bool {
-	for _, o := range nw.Outputs {
-		if o.Node == n {
-			return true
-		}
-	}
-	for _, l := range nw.Latches {
-		if l.D == n {
-			return true
-		}
-	}
-	return false
-}
-
 // IsRoot reports whether the node roots a tree.
-func (f *Forest) IsRoot(n *network.Node) bool { return f.rootSet[n] }
+func (f *Forest) IsRoot(n *network.Node) bool {
+	return uint(n.ID) < uint(len(f.root)) && f.root[n.ID] == n
+}
 
 // IsLeafEdge reports whether, inside some tree, a fanin reference to n
 // terminates the tree: n is a primary input or the root of another tree.
 func (f *Forest) IsLeafEdge(n *network.Node) bool {
-	return n.IsInput() || f.rootSet[n]
+	return n.IsInput() || f.IsRoot(n)
 }
 
 // TreeNodes returns the gate nodes of the tree rooted at root, in

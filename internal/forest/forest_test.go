@@ -1,7 +1,9 @@
 package forest
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"chortle/internal/network"
@@ -151,4 +153,104 @@ func randomDAG(rng *rand.Rand) *network.Network {
 	nw.MarkOutput("z", pool[len(pool)-2], true)
 	nw.Sweep()
 	return nw
+}
+
+// refRoots is the root rule as a map: a gate roots a tree when its
+// fanout is not one or it drives an output or a latch, found by scanning
+// the outputs and latches for it.
+func refRoots(nw *network.Network) map[*network.Node]bool {
+	counts := nw.FanoutCounts()
+	roots := map[*network.Node]bool{}
+	for _, n := range nw.Nodes {
+		if n.IsInput() {
+			continue
+		}
+		drives := false
+		for _, o := range nw.Outputs {
+			drives = drives || o.Node == n
+		}
+		for _, l := range nw.Latches {
+			drives = drives || l.D == n
+		}
+		if counts[n.ID] != 1 || drives {
+			roots[n] = true
+		}
+	}
+	return roots
+}
+
+// wideDAG is a random network with many outputs and latches: each latch
+// output is a declared input, and outputs and latch data inputs land on
+// single-fanout gates as often as on shared ones.
+func wideDAG(rng *rand.Rand) *network.Network {
+	nw := network.New("wide")
+	var pool []*network.Node
+	latches := 1 + rng.Intn(6)
+	for i := 0; i < 4+latches; i++ {
+		pool = append(pool, nw.AddInput(fmt.Sprintf("in%d", i)))
+	}
+	for i := 0; i < 20+rng.Intn(200); i++ {
+		op := network.OpAnd
+		if rng.Intn(2) == 1 {
+			op = network.OpOr
+		}
+		a := pool[rng.Intn(len(pool))]
+		b := pool[rng.Intn(len(pool))]
+		for b == a {
+			b = pool[rng.Intn(len(pool))]
+		}
+		pool = append(pool, nw.AddGate(fmt.Sprintf("g%d", i), op,
+			network.Fanin{Node: a, Invert: rng.Intn(2) == 1}, network.Fanin{Node: b}))
+	}
+	for i := 0; i < 1+len(pool)/3; i++ {
+		nw.MarkOutput(fmt.Sprintf("o%d", i), pool[rng.Intn(len(pool))], rng.Intn(2) == 1)
+	}
+	for i := 0; i < latches; i++ {
+		nw.AddLatch(fmt.Sprintf("in%d", 4+i), pool[4+latches+rng.Intn(len(pool)-4-latches)], rng.Intn(2) == 1, '0')
+	}
+	nw.Sweep()
+	return nw
+}
+
+// TestRootsMatchMapReference checks Roots, IsRoot and IsLeafEdge on
+// random DAGs with many outputs and latches against refRoots, for every
+// node of the network and for a node of another network that holds a
+// root's ID.
+func TestRootsMatchMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	stranger := network.New("other").AddInput("x")
+	for trial := 0; trial < 200; trial++ {
+		nw := wideDAG(rng)
+		if err := nw.Validate(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		f, err := Decompose(nw)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		ref := refRoots(nw)
+		order, err := nw.TopoSort()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []*network.Node
+		for _, n := range order {
+			if ref[n] {
+				want = append(want, n)
+			}
+		}
+		if !slices.Equal(f.Roots, want) {
+			t.Fatalf("trial %d: %d roots, reference %d", trial, len(f.Roots), len(want))
+		}
+		stranger.ID = f.Roots[0].ID // a foreign node at a root's ID
+		for _, n := range append(nw.Nodes, stranger) {
+			if f.IsRoot(n) != ref[n] || f.IsLeafEdge(n) != (n.IsInput() || ref[n]) {
+				t.Fatalf("trial %d: node %q: IsRoot %v IsLeafEdge %v, reference root %v",
+					trial, n.Name, f.IsRoot(n), f.IsLeafEdge(n), ref[n])
+			}
+		}
+		if err := f.Check(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+	}
 }

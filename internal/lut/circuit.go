@@ -135,31 +135,49 @@ func (c *Circuit) Find(name string) *LUT { return c.byName[name] }
 // Count returns the number of LUTs, the paper's area metric.
 func (c *Circuit) Count() int { return len(c.LUTs) }
 
-// isInput reports whether name is a primary input signal.
-func (c *Circuit) isInput(name string) bool {
-	for _, in := range c.Inputs {
-		if in == name {
-			return true
+// indexed reports whether the name index holds exactly the LUTs, each
+// under its own name and at its recorded position in c.LUTs. LUT names
+// are then distinct, and every LUT's inputs resolve by position.
+func (c *Circuit) indexed() bool {
+	if len(c.byName) != len(c.LUTs) {
+		return false
+	}
+	for i, l := range c.LUTs {
+		if l.id != i || c.byName[l.Name] != l {
+			return false
 		}
 	}
-	return false
+	return true
 }
 
 // Validate checks the circuit structure: unique names, defined input
-// signals, fanin bounds, table arities and acyclicity.
+// signals, fanin bounds, table arities and acyclicity. When the name
+// index holds exactly the LUTs and no LUT is named like an input, the
+// names are distinct by construction: each LUT input is then resolved
+// once, through the index, and no set of LUT names is built. Any other
+// circuit, which only hand editing makes, is checked against such a set
+// as well, which finds the same first error.
 func (c *Circuit) Validate() error {
-	seen := make(map[string]bool, len(c.Inputs)+len(c.LUTs))
+	exact := c.indexed()
+	inputs := make(map[string]bool, len(c.Inputs))
 	for _, in := range c.Inputs {
-		if seen[in] {
+		if inputs[in] {
 			return fmt.Errorf("lut circuit %q: duplicate input %q", c.Name, in)
 		}
-		seen[in] = true
+		inputs[in] = true
+		exact = exact && c.byName[in] == nil
+	}
+	var luts map[string]bool // the LUT names, unless the index is exact
+	if !exact {
+		luts = make(map[string]bool, len(c.LUTs))
 	}
 	for _, l := range c.LUTs {
-		if seen[l.Name] {
-			return fmt.Errorf("lut circuit %q: duplicate name %q", c.Name, l.Name)
+		if luts != nil {
+			if inputs[l.Name] || luts[l.Name] {
+				return fmt.Errorf("lut circuit %q: duplicate name %q", c.Name, l.Name)
+			}
+			luts[l.Name] = true
 		}
-		seen[l.Name] = true
 		if len(l.Inputs) > c.K {
 			return fmt.Errorf("lut circuit %q: %q exceeds K=%d inputs", c.Name, l.Name, c.K)
 		}
@@ -167,30 +185,115 @@ func (c *Circuit) Validate() error {
 			return fmt.Errorf("lut circuit %q: %q table arity mismatch", c.Name, l.Name)
 		}
 	}
+	defined := func(s string) bool {
+		if luts != nil {
+			return inputs[s] || luts[s]
+		}
+		return inputs[s] || c.byName[s] != nil
+	}
+	w := c.wire()
 	for _, l := range c.LUTs {
-		for _, in := range l.Inputs {
-			if !seen[in] {
-				return fmt.Errorf("lut circuit %q: %q uses undefined signal %q", c.Name, l.Name, in)
+		for j, d := range w.drivers(l) {
+			if (d == nil || luts != nil) && !defined(l.Inputs[j]) {
+				return fmt.Errorf("lut circuit %q: %q uses undefined signal %q", c.Name, l.Name, l.Inputs[j])
 			}
 		}
 	}
 	for _, o := range c.Outputs {
-		if !seen[o.Signal] {
+		if !defined(o.Signal) {
 			return fmt.Errorf("lut circuit %q: output %q references undefined %q", c.Name, o.Name, o.Signal)
 		}
 	}
 	for _, l := range c.Latches {
-		if !c.isInput(l.Q) {
+		if !inputs[l.Q] {
 			return fmt.Errorf("lut circuit %q: latch output %q is not a circuit input", c.Name, l.Q)
 		}
-		if !seen[l.D] {
+		if !defined(l.D) {
 			return fmt.Errorf("lut circuit %q: latch %q data references undefined %q", c.Name, l.Q, l.D)
 		}
 	}
-	if _, err := c.topoOrder(); err != nil {
-		return err
+	_, err := w.topoOrder()
+	return err
+}
+
+// slot returns l's position in c.LUTs, or -1 if l is away from its
+// recorded position, which only a hand-edited circuit can reach.
+func (c *Circuit) slot(l *LUT) int {
+	if uint(l.id) < uint(len(c.LUTs)) && c.LUTs[l.id] == l {
+		return l.id
 	}
-	return nil
+	return -1
+}
+
+// wiring is every LUT input resolved through the name index once: the
+// inputs of the LUT at position i of c.LUTs are driven by
+// drv[start[i]:start[i+1]], in input order, where nil stands for a
+// primary input or an undefined signal. The topological walk and the
+// passes after it follow these entries instead of probing the index
+// again.
+type wiring struct {
+	c     *Circuit
+	start []int
+	drv   []*LUT
+}
+
+// wire resolves the inputs of every LUT in c.LUTs.
+func (c *Circuit) wire() wiring {
+	n := 0
+	for _, l := range c.LUTs {
+		n += len(l.Inputs)
+	}
+	w := wiring{c: c, start: make([]int, len(c.LUTs)+1), drv: make([]*LUT, 0, n)}
+	for i, l := range c.LUTs {
+		for _, in := range l.Inputs {
+			w.drv = append(w.drv, c.byName[in])
+		}
+		w.start[i+1] = len(w.drv)
+	}
+	return w
+}
+
+// drivers returns the LUTs driving l's inputs, in input order. A LUT
+// away from its position in c.LUTs resolves its inputs again.
+func (w *wiring) drivers(l *LUT) []*LUT {
+	if i := w.c.slot(l); i >= 0 {
+		return w.drv[w.start[i]:w.start[i+1]]
+	}
+	d := make([]*LUT, len(l.Inputs))
+	for j, in := range l.Inputs {
+		d[j] = w.c.byName[in]
+	}
+	return d
+}
+
+// side holds a value per LUT: by position for a LUT at its recorded
+// position in c.LUTs, by name for one away from it.
+type side[T any] struct {
+	c       *Circuit
+	at      []T
+	outside map[string]T
+}
+
+func newSide[T any](c *Circuit) side[T] {
+	return side[T]{c: c, at: make([]T, len(c.LUTs))}
+}
+
+func (s *side[T]) get(l *LUT) T {
+	if i := s.c.slot(l); i >= 0 {
+		return s.at[i]
+	}
+	return s.outside[l.Name]
+}
+
+func (s *side[T]) set(l *LUT, v T) {
+	if i := s.c.slot(l); i >= 0 {
+		s.at[i] = v
+		return
+	}
+	if s.outside == nil {
+		s.outside = make(map[string]T)
+	}
+	s.outside[l.Name] = v
 }
 
 // Visit states of topoOrder.
@@ -200,49 +303,21 @@ const (
 	black
 )
 
-// visits holds topoOrder's state per LUT, indexed by position in
-// c.LUTs. A LUT away from its recorded position, which only a
-// hand-edited circuit can reach, keeps its state in a map by name.
-type visits struct {
-	c       *Circuit
-	state   []uint8
-	outside map[string]uint8
-}
-
-// slot returns l's position in c.LUTs, or -1 if l is not there.
-func (v *visits) slot(l *LUT) int {
-	if uint(l.id) < uint(len(v.c.LUTs)) && v.c.LUTs[l.id] == l {
-		return l.id
-	}
-	return -1
-}
-
-func (v *visits) get(l *LUT) uint8 {
-	if i := v.slot(l); i >= 0 {
-		return v.state[i]
-	}
-	return v.outside[l.Name]
-}
-
-func (v *visits) set(l *LUT, s uint8) {
-	if i := v.slot(l); i >= 0 {
-		v.state[i] = s
-		return
-	}
-	if v.outside == nil {
-		v.outside = make(map[string]uint8)
-	}
-	v.outside[l.Name] = s
-}
-
-// topoOrder returns LUTs with fanins first, or an error on a cycle. It
-// walks depth first from each LUT in c.LUTs order, visiting inputs in
-// order, on an explicit stack so that no depth of logic can overflow
-// the goroutine stack.
+// topoOrder returns LUTs with fanins first, or an error on a cycle.
 func (c *Circuit) topoOrder() ([]*LUT, error) {
-	v := visits{c: c, state: make([]uint8, len(c.LUTs))}
+	w := c.wire()
+	return w.topoOrder()
+}
+
+// topoOrder walks depth first from each LUT in c.LUTs order, visiting
+// inputs in order, on an explicit stack so that no depth of logic can
+// overflow the goroutine stack.
+func (w *wiring) topoOrder() ([]*LUT, error) {
+	c := w.c
+	v := newSide[uint8](c)
 	type frame struct {
 		l    *LUT
+		deps []*LUT
 		next int // the input to visit next
 	}
 	var buf [64]frame
@@ -253,16 +328,16 @@ func (c *Circuit) topoOrder() ([]*LUT, error) {
 			continue
 		}
 		v.set(root, gray)
-		stack = append(stack, frame{l: root})
+		stack = append(stack, frame{l: root, deps: w.drivers(root)})
 		for len(stack) > 0 {
 			top := &stack[len(stack)-1]
-			if top.next == len(top.l.Inputs) {
+			if top.next == len(top.deps) {
 				v.set(top.l, black)
 				order = append(order, top.l)
 				stack = stack[:len(stack)-1]
 				continue
 			}
-			dep := c.byName[top.l.Inputs[top.next]]
+			dep := top.deps[top.next]
 			top.next++
 			if dep == nil {
 				continue
@@ -272,7 +347,7 @@ func (c *Circuit) topoOrder() ([]*LUT, error) {
 				return nil, fmt.Errorf("lut circuit %q: cycle through %q", c.Name, dep.Name)
 			case white:
 				v.set(dep, gray)
-				stack = append(stack, frame{l: dep})
+				stack = append(stack, frame{l: dep, deps: w.drivers(dep)})
 			}
 		}
 	}
@@ -355,26 +430,32 @@ func (c *Circuit) Stats() (Stats, error) {
 	return s, nil
 }
 
-// Levels returns every LUT's level — 1 + the maximum level of its LUT
-// fanins, with primary inputs at level 0 — in topological order
-// alongside the LUTs themselves. The observability layer uses it to
-// histogram a mapped circuit by depth.
-func (c *Circuit) Levels() (map[string]int, error) {
-	order, err := c.topoOrder()
+// Levels returns every LUT's level, aligned with LUTs: 1 + the maximum
+// level of the LUTs driving its inputs, with primary inputs at level 0.
+// The observability layer uses it to histogram a mapped circuit by
+// depth.
+func (c *Circuit) Levels() ([]int, error) {
+	w := c.wire()
+	order, err := w.topoOrder()
 	if err != nil {
 		return nil, err
 	}
-	levels := make(map[string]int, len(order))
+	lv := newSide[int](c)
 	for _, l := range order {
 		d := 0
-		for _, in := range l.Inputs {
-			if dd := levels[in]; dd > d {
-				d = dd
+		for _, dep := range w.drivers(l) {
+			if dep != nil {
+				d = max(d, lv.get(dep))
 			}
 		}
-		levels[l.Name] = d + 1
+		lv.set(l, d+1)
 	}
-	return levels, nil
+	for i, l := range c.LUTs {
+		if c.slot(l) != i {
+			lv.at[i] = lv.get(l)
+		}
+	}
+	return lv.at, nil
 }
 
 // WriteBLIF emits the circuit as a BLIF model whose .names tables are
@@ -383,7 +464,8 @@ func (c *Circuit) Levels() (map[string]int, error) {
 // bytes.Buffer or a strings.Builder, is grown once to the output's
 // length instead of doubling as it fills.
 func (c *Circuit) WriteBLIF(w io.Writer) error {
-	order, err := c.topoOrder()
+	wr := c.wire()
+	order, err := wr.topoOrder()
 	if err != nil {
 		return err
 	}
@@ -396,7 +478,8 @@ func (c *Circuit) WriteBLIF(w io.Writer) error {
 	}
 	outs := append([]Output(nil), c.Outputs...)
 	sort.Slice(outs, func(i, j int) bool { return outs[i].Name < outs[j].Name })
-	emit, reserved := c.blifNames(order, outs)
+	plain := c.plainNames(outs)
+	emit, reserved := c.blifNames(plain, order, outs)
 	if g, ok := w.(interface{ Grow(int) }); ok {
 		g.Grow(c.blifSize(order, outs, latchQ))
 	}
@@ -419,10 +502,18 @@ func (c *Circuit) WriteBLIF(w io.Writer) error {
 	var row [truth.MaxVars + 3]byte
 	for _, l := range order {
 		bw.WriteString(".names")
-		for _, in := range l.Inputs {
-			writeField(bw, emit(in))
+		for j, d := range wr.drivers(l) {
+			if plain && d != nil {
+				writeField(bw, l.Inputs[j]) // a LUT's name, unchanged
+			} else {
+				writeField(bw, emit(l.Inputs[j]))
+			}
 		}
-		writeField(bw, emit(l.Name))
+		if plain {
+			writeField(bw, l.Name)
+		} else {
+			writeField(bw, emit(l.Name))
+		}
 		bw.WriteByte('\n')
 		if ok, v := l.Table.IsConst(); ok {
 			// Constant LUT: an empty cover is constant 0; constant 1 is
@@ -521,8 +612,8 @@ func (c *Circuit) blifSize(order []*LUT, outs []Output, latchQ map[string]bool) 
 // names taken, which names latch inverters. A LUT keeps its name unless
 // an input, an output or an earlier LUT in order took it; it then gains
 // "$int" suffixes. An undefined signal is written as an empty name.
-func (c *Circuit) blifNames(order []*LUT, outs []Output) (func(string) string, map[string]bool) {
-	if c.plainNames(outs) {
+func (c *Circuit) blifNames(plain bool, order []*LUT, outs []Output) (func(string) string, map[string]bool) {
+	if plain {
 		// No LUT is renamed and no latch inverter named, so the sets
 		// below are not needed; only input names need a lookup table.
 		inputs := make(map[string]bool, len(c.Inputs))
@@ -563,13 +654,8 @@ func (c *Circuit) blifNames(order []*LUT, outs []Output) (func(string) string, m
 // distinct and every LUT is in the topological order), no LUT is named
 // like a circuit input or output, and no latch needs an inverter.
 func (c *Circuit) plainNames(outs []Output) bool {
-	if len(c.byName) != len(c.LUTs) {
+	if !c.indexed() {
 		return false
-	}
-	for i, l := range c.LUTs {
-		if l.id != i || c.byName[l.Name] != l {
-			return false
-		}
 	}
 	for _, in := range c.Inputs {
 		if c.byName[in] != nil {

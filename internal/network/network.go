@@ -315,14 +315,21 @@ func (w *topoWalk) cycle(n *Node) error {
 
 // Validate checks structural invariants: unique names, registered
 // fanins, acyclicity, gates with at least one fanin, and outputs that
-// reference network nodes. It returns the first violation found.
+// reference network nodes. It returns the first violation found. Node
+// names are distinct when the name index holds exactly the nodes; only
+// a network edited through its fields needs a set of every name.
 func (nw *Network) Validate() error {
-	seen := make(map[string]bool, len(nw.Nodes))
+	var seen map[string]bool
+	if !nw.indexed() {
+		seen = make(map[string]bool, len(nw.Nodes))
+	}
 	for _, n := range nw.Nodes {
-		if seen[n.Name] {
-			return fmt.Errorf("network %q: %w: node %q", nw.Name, cerrs.ErrDuplicateName, n.Name)
+		if seen != nil {
+			if seen[n.Name] {
+				return fmt.Errorf("network %q: %w: node %q", nw.Name, cerrs.ErrDuplicateName, n.Name)
+			}
+			seen[n.Name] = true
 		}
-		seen[n.Name] = true
 		switch n.Op {
 		case OpInput:
 			if len(n.Fanins) != 0 {
@@ -354,7 +361,7 @@ func (nw *Network) Validate() error {
 		if l.D == nil {
 			return fmt.Errorf("network %q: latch %q has nil data input", nw.Name, l.Q)
 		}
-		if nw.Find(l.Q) == nil || !nw.Find(l.Q).IsInput() {
+		if q := nw.Find(l.Q); q == nil || !q.IsInput() {
 			return fmt.Errorf("network %q: latch output %q is not a declared input", nw.Name, l.Q)
 		}
 		if latchQ[l.Q] {
@@ -364,6 +371,20 @@ func (nw *Network) Validate() error {
 	}
 	_, err := nw.TopoSort()
 	return err
+}
+
+// indexed reports whether the name index holds exactly the nodes, each
+// under its own name, so that no two nodes share a name.
+func (nw *Network) indexed() bool {
+	if len(nw.byName) != len(nw.Nodes) {
+		return false
+	}
+	for _, n := range nw.Nodes {
+		if nw.byName[n.Name] != n {
+			return false
+		}
+	}
+	return true
 }
 
 // Stats summarizes the structure of a network.
