@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"chortle/internal/bench"
 	"chortle/internal/forest"
 	"chortle/internal/network"
 )
@@ -316,34 +315,19 @@ func compareDP(t *testing.T, where string, got, want *nodeDP, rec map[*nodeDP][]
 	}
 }
 
-// paperTreeShapes prepares the twelve optimized paper circuits the way
-// Map does (clone, sweep, split wide nodes, decompose into trees) and
-// returns one shape entry, holding a representative tree, for every
-// distinct tree shape among them.
-func paperTreeShapes(tb testing.TB) []*shapeEntry {
+// paperTreeShapes returns a representative tree of every distinct tree
+// shape of the twelve optimized paper circuits, prepared as Map
+// prepares them (paperForests).
+func paperTreeShapes(tb testing.TB) []shapeRep {
 	tb.Helper()
-	opts := DefaultOptions(4)
-	seed := shapeSeed(opts)
-	memo := newShapeMemo(0)
-	var shapes []*shapeEntry
-	for _, c := range bench.Suite() {
-		in, err := bench.Optimized(c)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		nw := in.Clone()
-		nw.Sweep()
-		splitWideNodes(nw, opts.SplitThreshold)
-		f, err := forest.Decompose(nw)
-		if err != nil {
-			tb.Fatal(err)
-		}
+	prefix := shapeKeyPrefix(DefaultOptions(4))
+	seen := make(map[string]bool)
+	var shapes []shapeRep
+	for _, f := range paperForests(tb) {
 		for _, r := range f.Roots {
-			si := treeShapeInfo(f, r, seed)
-			if memo.lookup(f, r, si) == nil {
-				e := &shapeEntry{f: f, rep: r}
-				memo.insert(si, e)
-				shapes = append(shapes, e)
+			if key := string(appendShapeKey(nil, f, r, prefix)); !seen[key] {
+				seen[key] = true
+				shapes = append(shapes, shapeRep{f, r})
 			}
 		}
 	}
@@ -364,8 +348,8 @@ func BenchmarkTreeSolveSuite(b *testing.B) {
 		for k := 2; k <= 5; k++ {
 			opts := DefaultOptions(k)
 			a.reset()
-			for _, e := range shapes {
-				if _, err := solveDP(a, e.f, e.rep, opts, &governor{}); err != nil {
+			for _, sh := range shapes {
+				if _, err := solveDP(a, sh.f, sh.root, opts, &governor{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -49,8 +49,8 @@ func MapDuplicateCostAwareCtx(ctx context.Context, input *network.Network, opts 
 	nw := input.Clone()
 	nw.Sweep()
 	accepted := 0
-	tr := tracer{opts.Observer}
-	tr.mapStart(opts.K, len(nw.Nodes))
+	tr := newTracer(opts.Observer)
+	tr.MapStart(opts.K, len(nw.Nodes))
 	// One cost memo for the entire search: the trial networks differ from
 	// the base in only the trees a duplication touches, so nearly every
 	// tree cost of a trial is a memo hit instead of a DP solve. Cost
@@ -58,7 +58,7 @@ func MapDuplicateCostAwareCtx(ctx context.Context, input *network.Network, opts 
 	// search's cost oracle) but still observe ctx and the deadline. They
 	// are also unobserved: a probe is a cost oracle, not a mapping run,
 	// and emitting its thousands of solves would drown the trace.
-	cm := newCostMemo()
+	cm := make(map[string]int32)
 	probeOpts := opts
 	probeOpts.Budget = Budget{}
 	probeOpts.Observer = nil
@@ -73,7 +73,7 @@ func MapDuplicateCostAwareCtx(ctx context.Context, input *network.Network, opts 
 	}
 	// Iterate to a fixed point with a safety bound: each accepted
 	// duplication strictly reduces the DP cost, which is bounded below.
-	endPhase := tr.phase("dup-search")
+	endPhase := tr.Phase("dup-search")
 	for pass := 0; pass < 8; pass++ {
 		changed, err := dupPass(searchCtx, nw, probeOpts, cm, &accepted, tr)
 		if err != nil {
@@ -100,7 +100,7 @@ func MapDuplicateCostAwareCtx(ctx context.Context, input *network.Network, opts 
 
 // totalTreeCost maps (cost only) the whole network, resolving known
 // tree shapes through the cost memo.
-func totalTreeCost(ctx context.Context, nw *network.Network, opts Options, cm *costMemo) (int, error) {
+func totalTreeCost(ctx context.Context, nw *network.Network, opts Options, cm map[string]int32) (int, error) {
 	costs, err := treeCosts(ctx, nw, opts, cm)
 	if err != nil {
 		return 0, err
@@ -113,7 +113,7 @@ func totalTreeCost(ctx context.Context, nw *network.Network, opts Options, cm *c
 }
 
 // dupPass tries every candidate once, committing improvements.
-func dupPass(ctx context.Context, nw *network.Network, opts Options, cm *costMemo, accepted *int, tr tracer) (bool, error) {
+func dupPass(ctx context.Context, nw *network.Network, opts Options, cm map[string]int32, accepted *int, tr tracer) (bool, error) {
 	base, err := totalTreeCost(ctx, nw, opts, cm)
 	if err != nil {
 		return false, err

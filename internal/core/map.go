@@ -78,9 +78,9 @@ func MapCtx(ctx context.Context, input *network.Network, opts Options) (*Result,
 	case EngineCut:
 		return mapCut(ctx, input, opts)
 	}
-	tr := tracer{opts.Observer}
-	tr.mapStart(opts.K, len(input.Nodes))
-	endPhase := tr.phase("prepare")
+	tr := newTracer(opts.Observer)
+	tr.MapStart(opts.K, len(input.Nodes))
+	endPhase := tr.Phase("prepare")
 	nw := input.Clone()
 	nw.Sweep()
 
@@ -100,7 +100,7 @@ func MapCtx(ctx context.Context, input *network.Network, opts Options) (*Result,
 	}
 	endPhase()
 
-	endPhase = tr.phase("forest")
+	endPhase = tr.Phase("forest")
 	f, err := forest.Decompose(nw)
 	endPhase()
 	if err != nil {
@@ -124,7 +124,7 @@ func MapCtx(ctx context.Context, input *network.Network, opts Options) (*Result,
 	mctx := newMapCtx(ctx, f, opts)
 	defer mctx.release()
 	if opts.Strategy == StrategyExhaustive && !opts.OptimizeDepth {
-		endPhase = tr.phase("solve")
+		endPhase = tr.Phase("solve")
 		err := mctx.solveShapes()
 		endPhase()
 		if err != nil {
@@ -134,7 +134,7 @@ func MapCtx(ctx context.Context, input *network.Network, opts Options) (*Result,
 		// circuits grow chunk by chunk.
 		m.ckt.Grow(mctx.predictedLUTs())
 	}
-	endPhase = tr.phase("reconstruct")
+	endPhase = tr.Phase("reconstruct")
 	for i, root := range f.Roots {
 		if err := ctx.Err(); err != nil {
 			endPhase()
@@ -175,7 +175,7 @@ func MapCtx(ctx context.Context, input *network.Network, opts Options) (*Result,
 	}
 	endPhase()
 
-	endPhase = tr.phase("finalize")
+	endPhase = tr.Phase("finalize")
 	for _, o := range nw.Outputs {
 		if o.Node.IsInput() {
 			m.ckt.MarkOutput(o.Name, o.Node.Name, o.Invert)
@@ -209,7 +209,7 @@ func MapCtx(ctx context.Context, input *network.Network, opts Options) (*Result,
 	}
 	endPhase()
 	if opts.RepackLUTs {
-		endPhase = tr.phase("repack")
+		endPhase = tr.Phase("repack")
 		if _, err := m.ckt.Repack(); err != nil {
 			endPhase()
 			return nil, fmt.Errorf("core: repacking: %w", err)
@@ -220,7 +220,7 @@ func MapCtx(ctx context.Context, input *network.Network, opts Options) (*Result,
 		}
 		endPhase()
 	}
-	tr.circuit(m.ckt, len(f.Roots))
+	tr.Circuit(m.ckt, len(f.Roots))
 	res := &Result{
 		Circuit:       m.ckt,
 		LUTs:          m.ckt.Count(),
@@ -229,9 +229,7 @@ func MapCtx(ctx context.Context, input *network.Network, opts Options) (*Result,
 		SplitNodes:    split,
 		Degraded:      degraded,
 	}
-	if mctx.cache != nil {
-		res.CacheHits, res.CacheMisses = mctx.cache.stats()
-	}
+	res.CacheHits, res.CacheMisses = mctx.cacheHits, mctx.cacheMisses
 	if opts.Provenance {
 		res.Prepared = nw
 	}
@@ -247,12 +245,14 @@ func TreeCosts(input *network.Network, opts Options) (map[string]int, error) {
 }
 
 // treeCosts is TreeCosts with a context and an optional cross-network
-// cost memo: trees whose shape is already known (from a previous network
-// sharing most of its structure, as the duplication search's trial
-// clones do) skip the DP solve entirely. Cost probes have no bin-packing
-// fallback, so cancellation, deadline expiry and budget exhaustion all
-// surface as errors here (the latter wrapping cerrs.ErrBudgetExhausted).
-func treeCosts(ctx context.Context, input *network.Network, opts Options, cm *costMemo) (map[string]int, error) {
+// cost memo, keyed by shape key: trees whose shape is already known
+// (from a previous network sharing most of its structure, as the
+// duplication search's trial clones do) skip the DP solve entirely. The
+// keys pin nothing of the networks that made them. Cost probes have no
+// bin-packing fallback, so cancellation, deadline expiry and budget
+// exhaustion all surface as errors here (the latter wrapping
+// cerrs.ErrBudgetExhausted).
+func treeCosts(ctx context.Context, input *network.Network, opts Options, cm map[string]int32) (map[string]int, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -274,15 +274,17 @@ func treeCosts(ctx context.Context, input *network.Network, opts Options, cm *co
 	mctx := newMapCtx(ctx, f, opts)
 	defer mctx.release()
 	costs := make([]int32, len(f.Roots))
-	hs := make([]uint64, len(f.Roots))
 	unknown := make([]int, 0, len(f.Roots))
+	var keys []string // unknown[j]'s shape key, with a cost memo
+	var key []byte
 	for i, root := range f.Roots {
 		if cm != nil {
-			hs[i] = treeHash(f, root, mctx.seed)
-			if c, ok := cm.lookup(f, root, hs[i]); ok {
+			key = appendShapeKey(key[:0], f, root, mctx.keyPrefix)
+			if c, ok := cm[string(key)]; ok {
 				costs[i] = c
 				continue
 			}
+			keys = append(keys, string(key))
 		}
 		unknown = append(unknown, i)
 	}
@@ -305,7 +307,7 @@ func treeCosts(ctx context.Context, input *network.Network, opts Options, cm *co
 	for j, i := range unknown {
 		costs[i] = solved[j]
 		if cm != nil {
-			cm.insert(hs[i], f, f.Roots[i], solved[j])
+			cm[keys[j]] = solved[j]
 		}
 	}
 

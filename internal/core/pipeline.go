@@ -11,7 +11,7 @@ import (
 
 	"chortle/internal/cerrs"
 	"chortle/internal/forest"
-	"chortle/internal/network"
+	"chortle/internal/slab"
 )
 
 // The tree-solving pipeline. Tree DPs are independent under the default
@@ -28,15 +28,16 @@ import (
 // the per-Map arenas are always returned, whatever kills the run.
 
 // mapCtx carries the per-Map performance and control machinery: the
-// recycled arenas, the shape cache, each root's shape entry, and the
-// cancellation/budget state. The shape cache exists only for the
-// exhaustive-strategy area objective (solveShapes builds it); the
-// bin-packing and depth paths keep their own state and borrow only the
-// governors.
+// recycled arenas, each root's shape entry, and the cancellation/budget
+// state. Shape entries exist only for the exhaustive-strategy area
+// objective (solveShapes builds them); the bin-packing and depth paths
+// keep their own state and borrow only the governors.
 type mapCtx struct {
 	opts Options
 	f    *forest.Forest
-	seed uint64
+
+	// keyPrefix starts every shape key of the run (shapeKeyPrefix).
+	keyPrefix []byte
 
 	// tr emits observability events (no-op when opts.Observer is nil).
 	tr tracer
@@ -48,11 +49,12 @@ type mapCtx struct {
 	// WallClock budget is set. Trees solved past it degrade.
 	deadline time.Time
 
-	// cache is the run's shape memo, backed by Options.SharedCache when
-	// that is set and eligible; shapes holds each tree's shape entry, in
-	// f.Roots order. Both are nil until solveShapes runs.
-	cache  *tieredShapeCache
-	shapes []*shapeEntry
+	// shapes holds each tree's shape entry, in f.Roots order; nil until
+	// solveShapes runs. cacheHits and cacheMisses count the distinct
+	// shapes it resolved from, respectively missed in, the shared tier
+	// (both zero without one).
+	shapes                 []*shapeEntry
+	cacheHits, cacheMisses int
 
 	seqArena *dpArena
 	mu       sync.Mutex // guards arenas during a pool run
@@ -60,7 +62,7 @@ type mapCtx struct {
 }
 
 func newMapCtx(ctx context.Context, f *forest.Forest, opts Options) *mapCtx {
-	mc := &mapCtx{opts: opts, f: f, ctx: ctx, seed: shapeSeed(opts), seqArena: acquireArena(), tr: tracer{opts.Observer}}
+	mc := &mapCtx{opts: opts, f: f, ctx: ctx, keyPrefix: shapeKeyPrefix(opts), seqArena: acquireArena(), tr: newTracer(opts.Observer)}
 	if opts.Budget.WallClock > 0 {
 		mc.deadline = time.Now().Add(opts.Budget.WallClock)
 	}
@@ -77,7 +79,7 @@ func (mc *mapCtx) newGov() *governor {
 // release returns every arena to the pool. No nodeDP reached through the
 // context may be used afterwards.
 func (mc *mapCtx) release() {
-	if mc.tr.on() && len(mc.arenas) > 0 {
+	if mc.tr.On() && len(mc.arenas) > 0 {
 		var bytes int64
 		for _, a := range mc.arenas {
 			bytes += a.slabBytes()
@@ -185,12 +187,13 @@ func (mc *mapCtx) runPool(n int, fn func(a *dpArena, i int) error) error {
 }
 
 // solveShapes computes the tree DPs up front on the worker pool, one
-// per distinct shape: the dedup runs on the main goroutine (O(trees)
-// hashing) and builds the run's shape cache, the pool solves each new
-// shape, and sequential reconstruction rebinds the tables to every
-// duplicate tree. Budget-exhausted solves are recorded as degraded
-// entries so reconstruction degrades those trees; cancellation or a
-// worker panic aborts the whole prepass with the error.
+// per distinct shape key: the dedup runs on the main goroutine (one key
+// per tree, one map probe each), the pool solves each new shape, and
+// sequential reconstruction rebinds the tables to every duplicate tree.
+// A shape new to the run is looked up in the shared tier, when there is
+// one, before it is solved. Budget-exhausted solves are recorded as
+// degraded entries so reconstruction degrades those trees; cancellation
+// or a worker panic aborts the whole prepass with the error.
 func (mc *mapCtx) solveShapes() error {
 	roots := mc.f.Roots
 	// The shared tier is bypassed under a wall-clock budget: which trees
@@ -200,29 +203,45 @@ func (mc *mapCtx) solveShapes() error {
 	if mc.opts.Budget.WallClock == 0 {
 		shared = mc.opts.SharedCache
 	}
-	mc.cache = newTieredShapeCache(shared, mc.f, mc.seed)
+	memo := make(map[string]*shapeEntry, len(roots))
 	mc.shapes = make([]*shapeEntry, len(roots))
-	var reps []*network.Node
-	var sis []shapeInfo
-	var entries []*shapeEntry
+	var (
+		entries   slab.Slab[shapeEntry]
+		keys      slab.Names // the memo's keys, one allocation per chunk
+		key       []byte     // the current tree's key, reused
+		solve     []*shapeEntry
+		solveKeys []string // solve[i]'s key, for publication
+	)
 	for i, r := range roots {
-		si := treeShapeInfo(mc.f, r, mc.seed)
-		e := mc.cache.lookup(mc.f, r, si)
+		key = appendShapeKey(key[:0], mc.f, r, mc.keyPrefix)
+		e := memo[string(key)]
 		if e == nil {
-			e = mc.cache.memo.entries.New()
-			e.f, e.rep = mc.f, r
-			mc.cache.insert(si, e)
-			reps = append(reps, r)
-			sis = append(sis, si)
-			entries = append(entries, e)
+			k := keys.CopyBytes(key)
+			e = entries.New()
+			e.rep = r
+			memo[k] = e
+			if shared != nil {
+				if e.dp = shared.lookup(k); e.dp != nil {
+					// A frozen shape forces a rebind even for this
+					// run's first instance.
+					e.frozen = true
+					mc.cacheHits++
+				} else {
+					mc.cacheMisses++
+				}
+			}
+			if e.dp == nil {
+				solve = append(solve, e)
+				solveKeys = append(solveKeys, k)
+			}
 		}
 		mc.shapes[i] = e
 	}
-	err := mc.runPool(len(reps), func(a *dpArena, i int) error {
-		e := entries[i]
+	err := mc.runPool(len(solve), func(a *dpArena, i int) error {
+		e := solve[i]
 		gov := mc.newGov()
 		start := mc.tr.now()
-		dp, err := solveDP(a, mc.f, reps[i], mc.opts, gov)
+		dp, err := solveDP(a, mc.f, e.rep, mc.opts, gov)
 		e.units = gov.units
 		if err != nil {
 			if errors.Is(err, cerrs.ErrBudgetExhausted) {
@@ -231,7 +250,7 @@ func (mc *mapCtx) solveShapes() error {
 			}
 			return err
 		}
-		mc.tr.treeSolve(reps[i].Name, gov.units, dp.bestCost, start)
+		mc.tr.treeSolve(e.rep.Name, gov.units, dp.bestCost, start)
 		e.dp = dp
 		return nil
 	})
@@ -240,8 +259,10 @@ func (mc *mapCtx) solveShapes() error {
 	}
 	// Publication happens here, after the pool's happens-before join, so
 	// the shared tier only ever sees fully solved entries.
-	for i := range reps {
-		mc.cache.publish(reps[i], sis[i], entries[i])
+	if shared != nil {
+		for i, e := range solve {
+			shared.publish(solveKeys[i], e)
+		}
 	}
 	return nil
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
@@ -70,11 +69,12 @@ func TestSharedCacheByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSharedCacheSeedNamespaces verifies that runs whose options fold
-// into different shape seeds never exchange entries: same network at
-// K=3 and K=4, with and without a work-unit budget. Provenance is not
-// part of the seed: a provenance run reuses the shapes a plain run
-// published, emits the same bytes, and records memo origins.
+// TestSharedCacheSeedNamespaces verifies that runs whose shape keys
+// start with different option prefixes never exchange entries: same
+// network at K=3 and K=4, with and without a work-unit budget.
+// Provenance is not part of the prefix: a provenance run reuses the
+// shapes a plain run published, emits the same bytes, and records memo
+// origins.
 func TestSharedCacheSeedNamespaces(t *testing.T) {
 	nw := identicalTrees(4)
 	cache := NewSharedShapeCache(SharedCacheConfig{})
@@ -116,6 +116,55 @@ func TestSharedCacheSeedNamespaces(t *testing.T) {
 	checkProvenance(t, prov)
 	if counts := prov.Circuit.OriginCounts(); counts["fresh"] != 0 || counts["memo"] == 0 {
 		t.Fatalf("provenance run over a warm cache: origins %v, want memo only", counts)
+	}
+}
+
+// TestSharedCacheOptionsNeverAlias: the key prefix is the option values
+// themselves. When it was a 64-bit hash of K, the decomposition flag
+// and the work-unit budget, the hash's last step was one-to-one in
+// h^budget, so every other K had exactly one budget whose keys were
+// those of default K=4 runs: a run under it published DPs that K=4 runs
+// then hit and rebound. Each such budget is derived here from the old
+// hash; under it the other K must still miss, and the K=4 run must emit
+// its cold bytes.
+func TestSharedCacheOptionsNeverAlias(t *testing.T) {
+	step := func(h, v uint64) uint64 { // the old prefix hash step
+		h ^= v
+		h *= 0x00000100000001b3
+		return h ^ h>>29
+	}
+	afterDecomp := func(k int) uint64 { return step(step(0xcbf29ce484222325, uint64(k)), 2) }
+
+	nw := identicalTrees(4)
+	cold, err := Map(nw, DefaultOptions(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, root := chainTree(t, "t", 3, false, network.OpAnd)
+	for _, k := range []int{2, 3, 5, 6} {
+		w := afterDecomp(4) ^ afterDecomp(k)
+		if step(afterDecomp(k), w) != step(afterDecomp(4), 0) || int64(w) < 0 {
+			t.Fatalf("K=%d: budget %d does not reproduce the old collision", k, w)
+		}
+		other := DefaultOptions(k)
+		other.Budget.WorkUnits = int64(w)
+		if shapeKey(f, root, shapeKeyPrefix(other)) == shapeKey(f, root, shapeKeyPrefix(DefaultOptions(4))) {
+			t.Fatalf("K=%d, budget %d: a tree keys as it does at K=4", k, w)
+		}
+		cache := NewSharedShapeCache(SharedCacheConfig{})
+		other.SharedCache = cache
+		if _, err := Map(nw, other); err != nil {
+			t.Fatal(err)
+		}
+		o := DefaultOptions(4)
+		o.SharedCache = cache
+		res, err := Map(nw, o)
+		if err != nil {
+			t.Fatalf("K=4 after K=%d, budget %d: %v", k, w, err)
+		}
+		if res.CacheHits != 0 || blifOf(t, res) != blifOf(t, cold) {
+			t.Fatalf("K=4 after K=%d, budget %d: %d shared hits, or bytes differ from a cold run", k, w, res.CacheHits)
+		}
 	}
 }
 
@@ -201,38 +250,34 @@ func TestSharedCacheEvictionPressure(t *testing.T) {
 	}
 }
 
-// TestShapeEncInjective: equal shapes encode equal across networks;
-// structurally different trees encode differently.
+// TestShapeEncInjective: equal shapes key equal across networks;
+// structurally different trees key differently.
 func TestShapeEncInjective(t *testing.T) {
-	seed := shapeSeed(DefaultOptions(4))
+	prefix := shapeKeyPrefix(DefaultOptions(4))
 	fa, ra := chainTree(t, "a", 3, false, network.OpAnd)
 	fb, rb := chainTree(t, "b", 3, false, network.OpAnd)
-	if !bytes.Equal(shapeEnc(fa, ra, seed), shapeEnc(fb, rb, seed)) {
-		t.Fatalf("identical shapes encode differently")
+	base := shapeKey(fa, ra, prefix)
+	if shapeKey(fb, rb, prefix) != base {
+		t.Fatalf("identical shapes key differently")
 	}
-	variants := []struct {
-		name string
-		enc  []byte
-	}{}
-	add := func(name string, depth int, invert bool, op network.Op) {
-		f, r := chainTree(t, name, depth, invert, op)
-		variants = append(variants, struct {
-			name string
-			enc  []byte
-		}{name, shapeEnc(f, r, seed)})
-	}
-	add("inverted", 3, true, network.OpAnd)
-	add("op", 3, false, network.OpOr)
-	add("deeper", 4, false, network.OpAnd)
-	base := shapeEnc(fa, ra, seed)
-	for _, v := range variants {
-		if bytes.Equal(v.enc, base) {
-			t.Errorf("%s: encoding collides with base shape", v.name)
+	for _, v := range []struct {
+		name   string
+		depth  int
+		invert bool
+		op     network.Op
+	}{
+		{"inverted", 3, true, network.OpAnd},
+		{"op", 3, false, network.OpOr},
+		{"deeper", 4, false, network.OpAnd},
+	} {
+		f, r := chainTree(t, v.name, v.depth, v.invert, v.op)
+		if shapeKey(f, r, prefix) == base {
+			t.Errorf("%s: key collides with base shape", v.name)
 		}
 	}
-	// A different seed prefixes a different encoding for the same tree.
-	if bytes.Equal(shapeEnc(fa, ra, seed), shapeEnc(fa, ra, shapeSeed(DefaultOptions(5)))) {
-		t.Errorf("encodings for different seeds coincide")
+	// A different K prefixes a different key for the same tree.
+	if shapeKey(fa, ra, shapeKeyPrefix(DefaultOptions(5))) == base {
+		t.Errorf("keys for different options coincide")
 	}
 }
 

@@ -9,27 +9,24 @@ import (
 
 // Shape cache persistence: the value codec behind SharedShapeCache
 // snapshots. internal/shapecache owns the container (magic, version,
-// namespace, checksum, atomic whole-file validation); this file owns
-// the per-entry payload — a varint-framed serialization of sharedShape:
-// the seed-prefixed canonical encoding, the metered solve units, and the
-// frozen DP tree.
+// namespace, checksum, the entry's key, atomic whole-file validation);
+// this file owns the per-entry payload — a varint-framed serialization
+// of sharedShape: the metered solve units and the frozen DP tree.
 //
 // Safety discipline mirrors the live cache. The namespace string below
 // names this payload format; any incompatible change to sharedShape,
-// nodeDP or the canonical shape encoding must bump it so old snapshots
-// are rejected (cold boot) instead of misread. Decoding validates every
-// structural invariant rebindDP and reconstruction rely on — table
-// geometry, intermediate-node utilizations, and a full lockstep walk of
-// the decoded DP skeleton against the entry's own canonical encoding —
-// so a snapshot that passes the container checksum but disagrees with
-// itself still loads as nothing rather than as a crash or a wrong hit.
-// After restore, the normal verification-on-hit (byte-comparing the
-// canonical encoding against the live tree) applies unchanged.
+// nodeDP or the shape key must bump it so old snapshots are rejected
+// (cold boot) instead of misread. Decoding validates every structural
+// invariant rebindDP and reconstruction rely on — table geometry,
+// intermediate-node utilizations, and a full lockstep walk of the
+// decoded DP skeleton against the entry's key — so a snapshot that
+// passes the container checksum but disagrees with itself still loads
+// as nothing rather than as a crash or a wrong hit.
 
 // shapeSnapshotNamespace identifies the payload codec. Bump on any
 // incompatible change to the encodings in this file or the structures
-// they serialize.
-const shapeSnapshotNamespace = "chortle-shape-v3"
+// they serialize. v4 dropped the payload's own copy of the key.
+const shapeSnapshotNamespace = "chortle-shape-v4"
 
 // errBadShapePayload rejects a structurally invalid entry payload.
 var errBadShapePayload = errors.New("core: invalid shape snapshot payload")
@@ -64,8 +61,8 @@ func (c *SharedShapeCache) WriteSnapshot(w io.Writer) error {
 // the snapshot entirely and leaves the cache as it was, so a failed
 // boot-time restore degrades to a cold cache.
 func (c *SharedShapeCache) RestoreSnapshot(r io.Reader) (int, error) {
-	return c.cache.Restore(r, shapeSnapshotNamespace, func(p []byte) (any, error) {
-		return decodeSharedShape(p)
+	return c.cache.Restore(r, shapeSnapshotNamespace, func(key string, p []byte) (any, error) {
+		return decodeSharedShape(key, p)
 	})
 }
 
@@ -80,11 +77,6 @@ func (c *SharedShapeCache) Shed(fraction float64) int { return c.cache.Shed(frac
 func appendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
 func appendVarint(b []byte, v int64) []byte   { return binary.AppendVarint(b, v) }
 
-func appendBytes(b, p []byte) []byte {
-	b = appendUvarint(b, uint64(len(p)))
-	return append(b, p...)
-}
-
 func appendInt32s(b []byte, xs []int32) []byte {
 	b = appendUvarint(b, uint64(len(xs)))
 	for _, x := range xs {
@@ -95,7 +87,6 @@ func appendInt32s(b []byte, xs []int32) []byte {
 
 func encodeSharedShape(ss *sharedShape) []byte {
 	b := make([]byte, 0, 256)
-	b = appendBytes(b, ss.enc)
 	b = appendUvarint(b, uint64(ss.units))
 	return appendDP(b, ss.dp)
 }
@@ -178,20 +169,6 @@ func (r *snapReader) byte() byte {
 	return c
 }
 
-func (r *snapReader) bytes(maxLen int) []byte {
-	n := r.uvarint()
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(maxLen) || n > uint64(len(r.b)) {
-		r.fail()
-		return nil
-	}
-	out := append([]byte(nil), r.b[:n]...)
-	r.b = r.b[n:]
-	return out
-}
-
 func (r *snapReader) int32s(maxLen int) []int32 {
 	n := r.uvarint()
 	if r.err != nil {
@@ -219,9 +196,12 @@ func (r *snapReader) int32s(maxLen int) []int32 {
 	return out
 }
 
-func decodeSharedShape(p []byte) (*sharedShape, error) {
+// decodeSharedShape decodes the payload listed under key. A snapshot
+// holds no key over shapecache.MaxKeyLen, so no snapshotted shape
+// reaches maxSnapDPNodes: every DP node adds at least two bytes to its
+// key.
+func decodeSharedShape(key string, p []byte) (*sharedShape, error) {
 	r := &snapReader{b: p}
-	enc := r.bytes(1 << 20)
 	units := r.uvarint()
 	var nodes int
 	dp := decodeDP(r, &nodes)
@@ -234,13 +214,13 @@ func decodeSharedShape(p []byte) (*sharedShape, error) {
 	if dp == nil || dp.bestCost >= infinity || dp.bestCost < 0 {
 		return nil, errBadShapePayload
 	}
-	// The decoded DP skeleton must match the entry's own canonical
-	// encoding — the key it will be verified against on every hit. A
-	// payload that disagrees with itself never enters the cache.
-	if !dpMatchesEnc(enc, dp) {
-		return nil, fmt.Errorf("%w: DP skeleton disagrees with canonical encoding", errBadShapePayload)
+	// The decoded DP skeleton must match the entry's key — the shape
+	// every hit on it rebinds to. A payload that disagrees with its key
+	// never enters the cache.
+	if !dpMatchesKey(key, dp) {
+		return nil, fmt.Errorf("%w: DP skeleton disagrees with its key", errBadShapePayload)
 	}
-	return &sharedShape{enc: enc, dp: dp, units: int64(units)}, nil
+	return &sharedShape{dp: dp, units: int64(units)}, nil
 }
 
 func decodeDP(r *snapReader, nodes *int) *nodeDP {
@@ -332,15 +312,16 @@ func decodeDP(r *snapReader, nodes *int) *nodeDP {
 	return dp
 }
 
-// dpMatchesEnc walks the canonical shape encoding (see appendShapeEnc:
-// an 8-byte seed prefix, then per node op + fanin count + per-fanin
-// mark bytes) in lockstep with the decoded DP skeleton, requiring the
-// same fanin arity and the same leaf/internal split at every position.
-func dpMatchesEnc(enc []byte, dp *nodeDP) bool {
-	if len(enc) < 8 {
+// dpMatchesKey walks the shape key (see appendShapeKey: the option
+// prefix, then per node op + fanin count + per-fanin mark bytes) in
+// lockstep with the decoded DP skeleton, requiring the same fanin arity
+// and the same leaf/internal split at every position, and a row length
+// of the prefix's K+1 (decodeDP already holds every child to the root's).
+func dpMatchesKey(key string, dp *nodeDP) bool {
+	k, b, ok := splitKeyPrefix([]byte(key))
+	if !ok || dp == nil || uint64(dp.stride) != k+1 {
 		return false
 	}
-	b := enc[8:]
 	var walk func(dp *nodeDP) bool
 	walk = func(dp *nodeDP) bool {
 		if dp == nil {

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc64"
 	"math/rand"
 	"os"
 	"testing"
@@ -79,7 +81,7 @@ func TestSnapshotRoundTripByteIdentical(t *testing.T) {
 
 func TestSnapshotWrongSeedNeverHits(t *testing.T) {
 	// A snapshot taken at K=4 restored into a K=5 server must simply
-	// never hit: the seed prefix in every canonical encoding differs, so
+	// never hit: the option prefix of every key differs, so
 	// entries are unreachable — present but harmless.
 	nw := identicalTrees(6)
 	cache := NewSharedShapeCache(SharedCacheConfig{})
@@ -246,38 +248,42 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 
 // TestSnapshotV1Refused restores a snapshot written by the
 // chortle-shape-v1 codec, which also carried emission templates and
-// preorder indices: the namespace check refuses it whole and the cache
-// stays empty, so a server booting from it starts cold.
+// preorder indices, in the container that framed entries by hash: the
+// version check refuses it whole and the cache stays empty, so a server
+// booting from it starts cold.
 func TestSnapshotV1Refused(t *testing.T) {
-	f, err := os.Open("testdata/shape_snapshot_v1.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	c := NewSharedShapeCache(SharedCacheConfig{})
-	n, err := c.RestoreSnapshot(f)
-	if !errors.Is(err, shapecache.ErrSnapshotNamespace) {
-		t.Fatalf("v1 snapshot: restored %d shapes with error %v, want a namespace refusal", n, err)
-	}
-	if c.Len() != 0 {
-		t.Fatalf("cache holds %d shapes after the refusal", c.Len())
-	}
+	checkOldSnapshotRefused(t, "testdata/shape_snapshot_v1.bin")
 }
 
 // TestSnapshotV2Refused restores a snapshot written by the
 // chortle-shape-v2 codec, which also carried a choice table per DP
-// node: the namespace check refuses it whole and the cache stays empty,
-// so a server booting from it starts cold.
+// node, in the container that framed entries by hash: the version check
+// refuses it whole and the cache stays empty, so a server booting from
+// it starts cold.
 func TestSnapshotV2Refused(t *testing.T) {
-	f, err := os.Open("testdata/shape_snapshot_v2.bin")
+	checkOldSnapshotRefused(t, "testdata/shape_snapshot_v2.bin")
+}
+
+// TestSnapshotV3Refused restores a snapshot written by the
+// chortle-shape-v3 codec, whose entries were framed by a 64-bit tree
+// hash and carried their canonical encoding in the payload: the version
+// check refuses it whole and the cache stays empty, so a server booting
+// from it starts cold.
+func TestSnapshotV3Refused(t *testing.T) {
+	checkOldSnapshotRefused(t, "testdata/shape_snapshot_v3.bin")
+}
+
+func checkOldSnapshotRefused(t *testing.T, path string) {
+	t.Helper()
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
 	c := NewSharedShapeCache(SharedCacheConfig{})
 	n, err := c.RestoreSnapshot(f)
-	if !errors.Is(err, shapecache.ErrSnapshotNamespace) {
-		t.Fatalf("v2 snapshot: restored %d shapes with error %v, want a namespace refusal", n, err)
+	if !errors.Is(err, shapecache.ErrSnapshotVersion) {
+		t.Fatalf("%s: restored %d shapes with error %v, want a version refusal", path, n, err)
 	}
 	if c.Len() != 0 {
 		t.Fatalf("cache holds %d shapes after the refusal", c.Len())
@@ -291,22 +297,18 @@ func TestSnapshotV2Refused(t *testing.T) {
 func TestSnapshotIgnoresArenaHistory(t *testing.T) {
 	nw := leafPatternTrees(4, 9)
 	opts := DefaultOptions(4)
-	seed := shapeSeed(opts)
+	prefix := shapeKeyPrefix(opts)
 	snap := func(a *dpArena) []byte {
 		f, err := forest.Decompose(nw)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cache := NewSharedShapeCache(SharedCacheConfig{})
-		tc := newTieredShapeCache(cache, f, seed)
 		for _, root := range f.Roots {
-			si := treeShapeInfo(f, root, seed)
-			if tc.lookup(f, root, si) != nil {
-				continue
+			key := shapeKey(f, root, prefix)
+			if cache.lookup(key) == nil {
+				cache.publish(key, &shapeEntry{rep: root, dp: buildDPIn(a, f, root, opts, nil)})
 			}
-			e := &shapeEntry{f: f, rep: root, dp: buildDPIn(a, f, root, opts, nil)}
-			tc.insert(si, e)
-			tc.publish(root, si, e)
 		}
 		var b bytes.Buffer
 		if err := cache.WriteSnapshot(&b); err != nil {
@@ -339,8 +341,9 @@ func TestSnapshotRefusesInconsistentGeometry(t *testing.T) {
 	opts := DefaultOptions(4)
 	f, root := chainTree(t, "geo", 3, true, network.OpAnd)
 	frozen, _ := freezeDP(buildDP(f, root, opts))
-	good := encodeSharedShape(&sharedShape{enc: shapeEnc(f, root, shapeSeed(opts)), dp: frozen})
-	if _, err := decodeSharedShape(good); err != nil {
+	key := shapeKey(f, root, shapeKeyPrefix(opts))
+	good := encodeSharedShape(&sharedShape{dp: frozen})
+	if _, err := decodeSharedShape(key, good); err != nil {
 		t.Fatalf("valid payload refused: %v", err)
 	}
 	cases := []struct {
@@ -359,12 +362,22 @@ func TestSnapshotRefusesInconsistentGeometry(t *testing.T) {
 		}},
 	}
 	for _, c := range cases {
-		ss, err := decodeSharedShape(good)
+		ss, err := decodeSharedShape(key, good)
 		if err != nil {
 			t.Fatal(err)
 		}
 		c.breakDP(ss.dp)
-		if _, err := decodeSharedShape(encodeSharedShape(ss)); !errors.Is(err, errBadShapePayload) {
+		if _, err := decodeSharedShape(key, encodeSharedShape(ss)); !errors.Is(err, errBadShapePayload) {
+			t.Errorf("%s: decode error %v, want errBadShapePayload", c.name, err)
+		}
+	}
+	// The key must parse, and its K must be the one the DP was solved at.
+	for _, c := range []struct{ name, key string }{
+		{"key at another K", shapeKey(f, root, shapeKeyPrefix(DefaultOptions(5)))},
+		{"decomposition byte", key[:1] + "\x02" + key[2:]},
+		{"prefix only", key[:2]},
+	} {
+		if _, err := decodeSharedShape(c.key, good); !errors.Is(err, errBadShapePayload) {
 			t.Errorf("%s: decode error %v, want errBadShapePayload", c.name, err)
 		}
 	}
@@ -372,7 +385,7 @@ func TestSnapshotRefusesInconsistentGeometry(t *testing.T) {
 
 func TestSharedShapeCodecRoundTrip(t *testing.T) {
 	// Exercise the codec directly on cache-resident entries: every
-	// encoded shape must decode to an equal encoding, units and DP
+	// encoded shape must decode, under its key, to equal units and DP
 	// tables.
 	rng := rand.New(rand.NewSource(23))
 	cache := NewSharedShapeCache(SharedCacheConfig{})
@@ -384,14 +397,11 @@ func TestSharedShapeCodecRoundTrip(t *testing.T) {
 		}
 	}
 	count := 0
-	cache.cache.Range(func(_ uint64, v any, _ int64) bool {
+	cache.cache.Range(func(key string, v any, _ int64) bool {
 		ss := v.(*sharedShape)
-		dec, err := decodeSharedShape(encodeSharedShape(ss))
+		dec, err := decodeSharedShape(key, encodeSharedShape(ss))
 		if err != nil {
 			t.Fatalf("decode(encode(shape)): %v", err)
-		}
-		if !bytes.Equal(dec.enc, ss.enc) {
-			t.Fatal("encoding changed across the codec")
 		}
 		if dec.units != ss.units {
 			t.Fatalf("units %d != %d", dec.units, ss.units)
@@ -438,4 +448,161 @@ func sameDPShape(a, b *nodeDP) bool {
 		}
 	}
 	return true
+}
+
+// TestOversizeKeySkippedBySnapshot publishes a shape whose key is
+// longer than a snapshot restore accepts: the live cache keeps it, so a
+// repeated huge tree is not solved again, but a snapshot written
+// afterwards leaves it out and still restores every other shape instead
+// of being refused whole.
+func TestOversizeKeySkippedBySnapshot(t *testing.T) {
+	opts := DefaultOptions(4)
+	cache := NewSharedShapeCache(SharedCacheConfig{})
+	o := opts
+	o.SharedCache = cache
+	if _, err := Map(identicalTrees(4), o); err != nil {
+		t.Fatal(err)
+	}
+	shapes := cache.Len()
+	if shapes == 0 {
+		t.Fatal("the warm-up published no shapes")
+	}
+	f, root := chainTree(t, "big", 3, false, network.OpAnd)
+	big := shapeKey(f, root, shapeKeyPrefix(opts)) + string(make([]byte, shapecache.MaxKeyLen))
+	cache.publish(big, &shapeEntry{rep: root, dp: buildDP(f, root, opts)})
+	if cache.lookup(big) == nil || cache.Len() != shapes+1 {
+		t.Fatalf("the oversize key was not published: %d shapes, want %d", cache.Len(), shapes+1)
+	}
+	var snap bytes.Buffer
+	if err := cache.WriteSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	restored := NewSharedShapeCache(SharedCacheConfig{})
+	if n, err := restored.RestoreSnapshot(&snap); err != nil || n != shapes {
+		t.Fatalf("restored %d shapes with error %v, want %d", n, err, shapes)
+	}
+}
+
+// snapEntry is one entry of a snapshot container, as listed in the file.
+type snapEntry struct {
+	key     string
+	cost    uint64
+	payload []byte
+}
+
+// parseSnapshotBody reads a container body (the file without its
+// checksum) independently of shapecache, returning the entries it
+// lists; ok is false if the body is not well formed.
+func parseSnapshotBody(body []byte) (entries []snapEntry, ok bool) {
+	const magic = "chortsnp"
+	if len(body) < len(magic) || string(body[:len(magic)]) != magic {
+		return nil, false
+	}
+	b := body[len(magic):]
+	uv := func() uint64 {
+		v, n := binary.Uvarint(b)
+		if n <= 0 {
+			ok = false
+			return 0
+		}
+		b = b[n:]
+		return v
+	}
+	field := func() []byte {
+		n := uv()
+		if !ok || n > uint64(len(b)) {
+			ok = false
+			return nil
+		}
+		p := b[:n]
+		b = b[n:]
+		return p
+	}
+	ok = true
+	uv()    // version
+	field() // namespace
+	count := uv()
+	for i := uint64(0); ok && i < count; i++ {
+		key := field()
+		cost := uv()
+		payload := field()
+		entries = append(entries, snapEntry{key: string(key), cost: cost, payload: payload})
+	}
+	return entries, ok && len(b) == 0
+}
+
+// FuzzRestoreSnapshot restores fuzzed container bodies, each signed with
+// its correct CRC-64 so that mutations reach the key frames and the
+// payload decoder instead of stopping at the checksum. Restore must
+// never panic; a refusal must leave the cache empty; a success must
+// hold exactly the entries the file lists, each decoded from its own
+// payload under its own key, less any that the cache's bounds evicted.
+func FuzzRestoreSnapshot(f *testing.F) {
+	rng := rand.New(rand.NewSource(29))
+	cache := NewSharedShapeCache(SharedCacheConfig{})
+	for _, nw := range []*network.Network{identicalTrees(3), randomDAG(rng, 5, 12)} {
+		opts := DefaultOptions(3)
+		opts.SharedCache = cache
+		if _, err := Map(nw, opts); err != nil {
+			f.Fatal(err)
+		}
+	}
+	var snap bytes.Buffer
+	if err := cache.WriteSnapshot(&snap); err != nil {
+		f.Fatal(err)
+	}
+	seeds := [][]byte{snap.Bytes()}
+	for _, v := range []string{"v1", "v2", "v3"} {
+		data, err := os.ReadFile("testdata/shape_snapshot_" + v + ".bin")
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, data)
+	}
+	for _, s := range seeds {
+		f.Add(s[:len(s)-8])
+	}
+	table := crc64.MakeTable(crc64.ECMA)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		file := binary.BigEndian.AppendUint64(append([]byte(nil), body...), crc64.Checksum(body, table))
+		c := NewSharedShapeCache(SharedCacheConfig{})
+		n, err := c.RestoreSnapshot(bytes.NewReader(file))
+		if err != nil {
+			if c.Len() != 0 {
+				t.Fatalf("refused with %v but holds %d shapes", err, c.Len())
+			}
+			return
+		}
+		listed, ok := parseSnapshotBody(body)
+		if !ok {
+			t.Fatal("restore accepted a body that does not parse")
+		}
+		if n != len(listed) {
+			t.Fatalf("restore reported %d shapes, the file lists %d", n, len(listed))
+		}
+		byKey := make(map[string]snapEntry, len(listed))
+		for _, e := range listed {
+			byKey[e.key] = e
+		}
+		resident := 0
+		c.cache.Range(func(key string, v any, _ int64) bool {
+			e, ok := byKey[key]
+			if !ok {
+				t.Fatalf("restored a key the file does not list")
+			}
+			want, err := decodeSharedShape(key, e.payload)
+			if err != nil {
+				t.Fatalf("restored an entry whose payload does not decode: %v", err)
+			}
+			got := v.(*sharedShape)
+			if got.units != want.units || !sameDPShape(got.dp, want.dp) {
+				t.Fatal("a restored shape differs from its listed payload")
+			}
+			resident++
+			return true
+		})
+		if st := c.Stats(); int64(resident)+st.Evictions != int64(len(listed)) {
+			t.Fatalf("%d resident and %d evicted of %d listed", resident, st.Evictions, len(listed))
+		}
+	})
 }

@@ -21,8 +21,8 @@ import (
 func TestTracerNoopZeroAlloc(t *testing.T) {
 	var tr tracer
 	allocs := testing.AllocsPerRun(1000, func() {
-		end := tr.phase("reconstruct")
-		tr.mapStart(4, 100)
+		end := tr.Phase("reconstruct")
+		tr.MapStart(4, 100)
 		tr.treeSolve("tree", 123, 4, tr.now())
 		tr.memoHit("tree", 4)
 		tr.budgetExhausted("tree", 1000)
@@ -122,7 +122,7 @@ func BenchmarkPerTreeSolve(b *testing.B) {
 		}
 	})
 	b.Run("collector", func(b *testing.B) {
-		tr := tracer{o: &obs.Collector{}}
+		tr := newTracer(&obs.Collector{})
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			a.reset()

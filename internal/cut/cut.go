@@ -222,10 +222,10 @@ func MapCtx(ctx context.Context, input *network.Network, opts Options) (*Result,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	tr := tracer{opts.Observer}
-	tr.mapStart(opts.K, len(input.Nodes))
+	tr := newTracer(opts.Observer)
+	tr.MapStart(opts.K, len(input.Nodes))
 
-	endPhase := tr.phase("prepare")
+	endPhase := tr.Phase("prepare")
 	nw := input.Clone()
 	nw.Sweep()
 	added := binarize(nw)
@@ -237,7 +237,7 @@ func MapCtx(ctx context.Context, input *network.Network, opts Options) (*Result,
 	m := newMapper(opts, nw, order)
 	endPhase()
 
-	endPhase = tr.phase("cuts")
+	endPhase = tr.Phase("cuts")
 	err = m.enumerate(ctx)
 	endPhase()
 	if err != nil {
@@ -245,7 +245,7 @@ func MapCtx(ctx context.Context, input *network.Network, opts Options) (*Result,
 	}
 	tr.cutsEnumerated(gateCount(nw), int64(len(m.arena)), m.dominated, m.evicted)
 
-	endPhase = tr.phase("select")
+	endPhase = tr.Phase("select")
 	m.selectCover()
 	for round := 0; round < opts.areaRounds(); round++ {
 		if err := ctx.Err(); err != nil {
@@ -259,7 +259,7 @@ func MapCtx(ctx context.Context, input *network.Network, opts Options) (*Result,
 	}
 	endPhase()
 
-	endPhase = tr.phase("emit")
+	endPhase = tr.Phase("emit")
 	ckt, err := m.emit()
 	endPhase()
 	if err != nil {
@@ -268,7 +268,7 @@ func MapCtx(ctx context.Context, input *network.Network, opts Options) (*Result,
 	if err := ckt.Validate(); err != nil {
 		return nil, fmt.Errorf("cut: mapped circuit invalid: %w", err)
 	}
-	tr.circuit(ckt, len(m.selected))
+	tr.Circuit(ckt, len(m.selected))
 
 	res := &Result{
 		Circuit:        ckt,

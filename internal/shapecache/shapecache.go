@@ -1,18 +1,15 @@
 // Package shapecache implements the storage layer of the cross-run
-// shape cache: a sharded, bounded, concurrency-safe map from 64-bit
-// structural hashes to opaque values, with per-shard LRU eviction and
-// entry+byte cost accounting.
+// shape cache: a sharded, bounded, concurrency-safe map from string
+// keys to opaque values, with per-shard LRU eviction and entry+byte
+// cost accounting.
 //
 // The package is deliberately generic — it knows nothing about trees or
-// DP tables. Hash collisions are the caller's problem by design: every
-// bucket holds all values that hashed to the same key, and both Get and
-// Put take a match predicate that performs full verification (in core's
-// case, comparing canonical shape encodings). A collision therefore
-// degrades to a miss, never to wrong reuse — the same invariant the
-// per-run shape memo upholds, now under concurrency.
+// DP tables. A key is the whole identity of its value (in core's case,
+// the shape key: option prefix and canonical shape encoding), so a
+// lookup is one map probe and there is nothing further to verify.
 //
-// Locking is per shard (a power-of-two count, selected by a mixed view
-// of the hash), so concurrent mapping runs contend only when they touch
+// Locking is per shard (a power-of-two count, selected by a fixed hash
+// of the key), so concurrent mapping runs contend only when they touch
 // the same shard. All mutation happens under the shard mutex; values
 // themselves must be immutable after publication, which core's frozen
 // shape entries guarantee.
@@ -46,8 +43,8 @@ const (
 
 // Stats is a point-in-time snapshot of cache effectiveness and size.
 type Stats struct {
-	Hits      int64 // Get calls that returned a verified value
-	Misses    int64 // Get calls that found nothing (or only collisions)
+	Hits      int64 // Get calls that found their key
+	Misses    int64 // Get calls that found nothing
 	Puts      int64 // values actually inserted (losing racers excluded)
 	Evictions int64 // entries removed by the LRU bound
 	Entries   int64 // current resident entry count
@@ -57,19 +54,18 @@ type Stats struct {
 // entry is one resident value, threaded on its shard's intrusive LRU
 // list (head = most recently used).
 type entry struct {
-	hash       uint64
+	key        string
 	val        any
 	cost       int64
 	prev, next *entry
 }
 
 type shard struct {
-	mu      sync.Mutex
-	buckets map[uint64][]*entry
-	head    *entry
-	tail    *entry
-	entries int
-	bytes   int64
+	mu    sync.Mutex
+	byKey map[string]*entry
+	head  *entry
+	tail  *entry
+	bytes int64
 }
 
 // Cache is the sharded store. The zero value is not usable; construct
@@ -116,96 +112,78 @@ func New(cfg Config) *Cache {
 		c.maxBytes = 1
 	}
 	for i := range c.shards {
-		c.shards[i].buckets = make(map[uint64][]*entry)
+		c.shards[i].byKey = make(map[string]*entry)
 	}
 	return c
 }
 
-// shardFor remixes the hash before masking so bucket keys (the raw
-// hash) and shard selection use independent bits.
-func (c *Cache) shardFor(h uint64) *shard {
-	m := h * 0x9e3779b97f4a7c15
-	return &c.shards[(m>>32)&c.mask]
+// shardFor picks a key's shard by its FNV-1a hash, folded so the mask
+// sees the high bits too. The hash is fixed, not seeded per process, so
+// two caches holding the same keys shard them alike and snapshot them
+// in the same order.
+func (c *Cache) shardFor(key string) *shard {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= 1099511628211
+	}
+	return &c.shards[(h^h>>32)&c.mask]
 }
 
-// Get returns the first value under h accepted by match, refreshing its
-// LRU position. match runs under the shard lock and must be cheap and
-// side-effect free on shared state.
-func (c *Cache) Get(h uint64, match func(v any) bool) (any, bool) {
-	s := c.shardFor(h)
+// Get returns the value under key, refreshing its LRU position.
+func (c *Cache) Get(key string) (any, bool) {
+	s := c.shardFor(key)
 	s.mu.Lock()
-	for _, e := range s.buckets[h] {
-		if match(e.val) {
-			s.touch(e)
-			s.mu.Unlock()
-			c.hits.Add(1)
-			return e.val, true
-		}
+	e, ok := s.byKey[key]
+	if ok {
+		s.touch(e)
 	}
 	s.mu.Unlock()
-	c.misses.Add(1)
-	return nil, false
+	if !ok {
+		c.misses.Add(1)
+		return nil, false
+	}
+	c.hits.Add(1)
+	return e.val, true
 }
 
-// Put inserts v under h with the given accounted cost, unless a value
-// already resident under h is accepted by match — two runs publishing
-// the same shape race benignly, and the first insert wins. It returns
-// the resident value (v or the earlier winner). Inserting may evict
+// Put inserts v under key with the given accounted cost, unless a value
+// is already resident under key — two runs publishing the same shape
+// race benignly, and the first insert wins. It returns the resident
+// value (v or the earlier winner). Inserting may evict
 // least-recently-used entries to keep the shard within bounds; the newly
 // inserted entry is never the eviction victim of its own insert.
-func (c *Cache) Put(h uint64, v any, cost int64, match func(v any) bool) any {
+func (c *Cache) Put(key string, v any, cost int64) any {
 	if cost < 0 {
 		cost = 0
 	}
-	s := c.shardFor(h)
+	s := c.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, e := range s.buckets[h] {
-		if match(e.val) {
-			s.touch(e)
-			return e.val
-		}
+	if e, ok := s.byKey[key]; ok {
+		s.touch(e)
+		return e.val
 	}
-	e := &entry{hash: h, val: v, cost: cost}
-	s.buckets[h] = append(s.buckets[h], e)
+	e := &entry{key: key, val: v, cost: cost}
+	s.byKey[key] = e
 	s.pushFront(e)
-	s.entries++
 	s.bytes += cost
 	c.puts.Add(1)
-	s.evictLocked(c)
+	for (len(s.byKey) > c.maxEntries || s.bytes > c.maxBytes) && len(s.byKey) > 1 {
+		s.evictTail(c)
+	}
 	return v
 }
 
-// evictLocked trims the shard to its bounds, least recently used first,
-// always keeping at least one entry (a value larger than the whole
-// shard budget is kept, not thrashed).
-func (s *shard) evictLocked(c *Cache) {
-	for (s.entries > c.maxEntries || s.bytes > c.maxBytes) && s.entries > 1 {
-		victim := s.tail
-		if victim == nil {
-			return
-		}
-		s.unlink(victim)
-		s.removeFromBucket(victim)
-		s.entries--
-		s.bytes -= victim.cost
-		c.evictions.Add(1)
-	}
-}
-
-func (s *shard) removeFromBucket(e *entry) {
-	b := s.buckets[e.hash]
-	for i, x := range b {
-		if x == e {
-			b = append(b[:i], b[i+1:]...)
-			break
-		}
-	}
-	if len(b) == 0 {
-		delete(s.buckets, e.hash)
-	} else {
-		s.buckets[e.hash] = b
-	}
+// evictTail removes the shard's least recently used entry. A value
+// larger than the whole shard budget is kept, not thrashed: Put never
+// evicts a shard's last entry.
+func (s *shard) evictTail(c *Cache) {
+	victim := s.tail
+	s.unlink(victim)
+	delete(s.byKey, victim.key)
+	s.bytes -= victim.cost
+	c.evictions.Add(1)
 }
 
 func (s *shard) pushFront(e *entry) {
@@ -256,7 +234,7 @@ func (c *Cache) Stats() Stats {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		st.Entries += int64(s.entries)
+		st.Entries += int64(len(s.byKey))
 		st.Bytes += s.bytes
 		s.mu.Unlock()
 	}
@@ -269,7 +247,7 @@ func (c *Cache) Len() int {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		n += s.entries
+		n += len(s.byKey)
 		s.mu.Unlock()
 	}
 	return n

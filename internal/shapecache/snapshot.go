@@ -16,15 +16,16 @@ import (
 //	version   uvarint  format version (snapshotVersion)
 //	namespace uvarint-framed bytes (caller-defined payload codec id)
 //	count     uvarint
-//	count ×   { hash [8]byte BE, cost uvarint, payload uvarint-framed }
+//	count ×   { key uvarint-framed, cost uvarint, payload uvarint-framed }
 //	crc       [8]byte  BE CRC-64/ECMA of everything above
 //
 // The file is verified before a single entry is admitted: magic, format
 // version, namespace and the trailing checksum are all checked first,
-// and every payload is decoded and validated before insertion begins.
-// Any failure rejects the whole snapshot and leaves the cache exactly
-// as it was — for a boot-time restore that means an empty (cold) cache,
-// never a partial or corrupted one.
+// and every key and payload is decoded and validated before insertion
+// begins. Any failure — including a key over MaxKeyLen or a key listed
+// twice — rejects the whole snapshot and leaves the cache exactly as it
+// was: for a boot-time restore that means an empty (cold) cache, never
+// a partial or corrupted one.
 //
 // The payload bytes are opaque to this package; the caller supplies the
 // value codec, and its namespace string must identify that codec's
@@ -33,8 +34,13 @@ import (
 
 // snapshotVersion is the container format version. Payload format
 // changes are the namespace's job; this only moves when the container
-// layout above changes.
-const snapshotVersion = 1
+// layout above changes. Version 1 framed each entry by a 64-bit hash
+// instead of its key.
+const snapshotVersion = 2
+
+// MaxKeyLen bounds a key in a snapshot. Snapshot leaves out a resident
+// entry with a longer key, and Restore refuses a file that lists one.
+const MaxKeyLen = 1 << 20
 
 var snapshotMagic = [8]byte{'c', 'h', 'o', 'r', 't', 's', 'n', 'p'}
 
@@ -60,20 +66,25 @@ const (
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
 // Snapshot writes every resident entry to w, encoding each value with
-// encode. An entry whose encode returns (nil, nil) is skipped (the
-// value is not snapshottable); an encode error aborts the write. The
+// encode. An entry whose key is longer than MaxKeyLen or whose encode
+// returns (nil, nil) is skipped (it is not snapshottable, and one such
+// entry would make the whole file unrestorable); an encode error aborts
+// the write. The
 // iteration is per-shard consistent (see Stats) — entries inserted or
 // evicted concurrently may or may not appear, which is fine for a
 // cache: a snapshot is a warm start, not a ledger.
 func (c *Cache) Snapshot(w io.Writer, namespace string, encode func(v any) ([]byte, error)) error {
 	type rawEntry struct {
-		hash    uint64
+		key     string
 		cost    int64
 		payload []byte
 	}
 	var entries []rawEntry
 	var encErr error
-	c.Range(func(hash uint64, v any, cost int64) bool {
+	c.Range(func(key string, v any, cost int64) bool {
+		if len(key) > MaxKeyLen {
+			return true
+		}
 		p, err := encode(v)
 		if err != nil {
 			encErr = err
@@ -82,7 +93,7 @@ func (c *Cache) Snapshot(w io.Writer, namespace string, encode func(v any) ([]by
 		if p == nil {
 			return true
 		}
-		entries = append(entries, rawEntry{hash: hash, cost: cost, payload: p})
+		entries = append(entries, rawEntry{key: key, cost: cost, payload: p})
 		return true
 	})
 	if encErr != nil {
@@ -113,8 +124,10 @@ func (c *Cache) Snapshot(w io.Writer, namespace string, encode func(v any) ([]by
 		return err
 	}
 	for _, e := range entries {
-		binary.BigEndian.PutUint64(scratch[:8], e.hash)
-		if _, err := bw.Write(scratch[:8]); err != nil {
+		if err := putUvarint(uint64(len(e.key))); err != nil {
+			return err
+		}
+		if _, err := bw.WriteString(e.key); err != nil {
 			return err
 		}
 		if err := putUvarint(uint64(e.cost)); err != nil {
@@ -137,12 +150,14 @@ func (c *Cache) Snapshot(w io.Writer, namespace string, encode func(v any) ([]by
 
 // Restore reads a snapshot written by Snapshot and inserts its entries.
 // The whole file is validated — magic, version, namespace, checksum,
-// and every payload through decode — before anything is inserted, so a
-// failed restore returns (0, err) with the cache untouched. Restored
-// entries are subject to the normal bounds: a snapshot larger than the
-// cache's configured budget restores the most recently written tail and
-// evicts the rest. Returns the number of entries inserted.
-func (c *Cache) Restore(r io.Reader, namespace string, decode func(payload []byte) (v any, err error)) (int, error) {
+// and every key and payload through decode — before anything is
+// inserted, so a failed restore returns (0, err) with the cache
+// untouched. Restored entries are subject to the normal bounds: a
+// snapshot larger than the cache's configured budget restores the most
+// recently written tail and evicts the rest, and a key already resident
+// keeps its resident value. Returns the number of entries the snapshot
+// held.
+func (c *Cache) Restore(r io.Reader, namespace string, decode func(key string, payload []byte) (v any, err error)) (int, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return 0, fmt.Errorf("shapecache: reading snapshot: %w", err)
@@ -193,18 +208,36 @@ func (c *Cache) Restore(r io.Reader, namespace string, decode func(payload []byt
 	if count > maxSnapshotEntries {
 		return 0, fmt.Errorf("%w: %d entries", ErrSnapshotPayload, count)
 	}
+	// Every entry takes at least three bytes (key, cost and payload
+	// lengths), so a count the rest cannot hold is refused before it
+	// sizes anything.
+	if count > uint64(len(buf))/3 {
+		return 0, ErrSnapshotTruncated
+	}
 	type decEntry struct {
-		hash uint64
+		key  string
 		cost int64
 		v    any
 	}
 	entries := make([]decEntry, 0, count)
+	seen := make(map[string]bool, count)
 	for i := uint64(0); i < count; i++ {
-		if len(buf) < 8 {
+		klen, err := readUvarint()
+		if err != nil {
+			return 0, err
+		}
+		if klen > MaxKeyLen {
+			return 0, fmt.Errorf("%w: entry %d: %d-byte key", ErrSnapshotPayload, i, klen)
+		}
+		if uint64(len(buf)) < klen {
 			return 0, ErrSnapshotTruncated
 		}
-		hash := binary.BigEndian.Uint64(buf[:8])
-		buf = buf[8:]
+		key := string(buf[:klen])
+		buf = buf[klen:]
+		if seen[key] {
+			return 0, fmt.Errorf("%w: entry %d: key listed twice", ErrSnapshotPayload, i)
+		}
+		seen[key] = true
 		cost, err := readUvarint()
 		if err != nil {
 			return 0, err
@@ -216,21 +249,18 @@ func (c *Cache) Restore(r io.Reader, namespace string, decode func(payload []byt
 		if plen > maxSnapshotPayload || uint64(len(buf)) < plen {
 			return 0, ErrSnapshotTruncated
 		}
-		v, err := decode(buf[:plen])
+		v, err := decode(key, buf[:plen])
 		if err != nil {
 			return 0, fmt.Errorf("%w: entry %d: %v", ErrSnapshotPayload, i, err)
 		}
 		buf = buf[plen:]
-		entries = append(entries, decEntry{hash: hash, cost: int64(cost), v: v})
+		entries = append(entries, decEntry{key: key, cost: int64(cost), v: v})
 	}
 	if len(buf) != 0 {
 		return 0, fmt.Errorf("%w: %d trailing bytes", ErrSnapshotPayload, len(buf))
 	}
 	for _, e := range entries {
-		// Never-match predicate: a restore targets an empty or disjoint
-		// cache; if an equal entry somehow coexists, verification-on-hit
-		// still picks a correct one.
-		c.Put(e.hash, e.v, e.cost, func(any) bool { return false })
+		c.Put(e.key, e.v, e.cost)
 	}
 	return len(entries), nil
 }
@@ -238,14 +268,14 @@ func (c *Cache) Restore(r io.Reader, namespace string, decode func(payload []byt
 // Range calls fn for every resident entry, shard by shard under each
 // shard's lock, until fn returns false. fn must not call back into the
 // cache. The view is per-shard consistent only (see Stats).
-func (c *Cache) Range(fn func(hash uint64, v any, cost int64) bool) {
+func (c *Cache) Range(fn func(key string, v any, cost int64) bool) {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
 		// Walk the LRU list tail-first so a bound-limited Restore of this
 		// snapshot keeps the hottest entries (later Puts survive eviction).
 		for e := s.tail; e != nil; e = e.prev {
-			if !fn(e.hash, e.val, e.cost) {
+			if !fn(e.key, e.val, e.cost) {
 				s.mu.Unlock()
 				return
 			}
@@ -270,20 +300,12 @@ func (c *Cache) Shed(fraction float64) int {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		n := int(float64(s.entries)*fraction + 0.5)
-		if n == 0 && s.entries > 0 {
+		n := int(float64(len(s.byKey))*fraction + 0.5)
+		if n == 0 && len(s.byKey) > 0 {
 			n = 1
 		}
-		for j := 0; j < n && s.entries > 0; j++ {
-			victim := s.tail
-			if victim == nil {
-				break
-			}
-			s.unlink(victim)
-			s.removeFromBucket(victim)
-			s.entries--
-			s.bytes -= victim.cost
-			c.evictions.Add(1)
+		for j := 0; j < n && len(s.byKey) > 0; j++ {
+			s.evictTail(c)
 			total++
 		}
 		s.mu.Unlock()

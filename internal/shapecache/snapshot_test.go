@@ -2,6 +2,7 @@ package shapecache
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc64"
@@ -15,17 +16,17 @@ func checksumOf(body []byte) uint64 { return crc64.Checksum(body, crcTable) }
 // wrong version, wrong namespace, trailing garbage — rejects the whole
 // file and leaves the cache untouched.
 
-func encBytes(v any) ([]byte, error) { return append([]byte(nil), v.([]byte)...), nil }
-func decBytes(p []byte) (any, error) { return append([]byte(nil), p...), nil }
+func encBytes(v any) ([]byte, error)           { return append([]byte(nil), v.([]byte)...), nil }
+func decBytes(_ string, p []byte) (any, error) { return append([]byte(nil), p...), nil }
 
-func fillCache(t *testing.T, c *Cache, n int) map[uint64][]byte {
+func fillCache(t *testing.T, c *Cache, n int) map[string][]byte {
 	t.Helper()
-	want := make(map[uint64][]byte, n)
+	want := make(map[string][]byte, n)
 	for i := 0; i < n; i++ {
-		h := uint64(i)*0x9e3779b97f4a7c15 + 1
+		key := fmt.Sprintf("key-%d", i)
 		v := []byte(fmt.Sprintf("payload-%d", i))
-		c.Put(h, v, int64(len(v)), func(any) bool { return false })
-		want[h] = v
+		c.Put(key, v, int64(len(v)))
+		want[key] = v
 	}
 	return want
 }
@@ -55,13 +56,13 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if got := dst.Len(); got != len(want) {
 		t.Fatalf("resident %d entries, want %d", got, len(want))
 	}
-	for h, v := range want {
-		got, ok := dst.Get(h, func(x any) bool { return bytes.Equal(x.([]byte), v) })
+	for key, v := range want {
+		got, ok := dst.Get(key)
 		if !ok {
-			t.Fatalf("hash %#x missing after restore", h)
+			t.Fatalf("key %q missing after restore", key)
 		}
 		if !bytes.Equal(got.([]byte), v) {
-			t.Fatalf("hash %#x: got %q, want %q", h, got, v)
+			t.Fatalf("key %q: got %q, want %q", key, got, v)
 		}
 	}
 	// Cost accounting survives the round trip.
@@ -82,8 +83,8 @@ func TestSnapshotEmptyCache(t *testing.T) {
 
 func TestSnapshotSkipsUnencodable(t *testing.T) {
 	src := New(Config{})
-	src.Put(1, []byte("keep"), 4, func(any) bool { return false })
-	src.Put(2, "not-bytes", 9, func(any) bool { return false })
+	src.Put("k1", []byte("keep"), 4)
+	src.Put("k2", "not-bytes", 9)
 	var buf bytes.Buffer
 	err := src.Snapshot(&buf, "ns", func(v any) ([]byte, error) {
 		b, ok := v.([]byte)
@@ -99,6 +100,27 @@ func TestSnapshotSkipsUnencodable(t *testing.T) {
 	n, err := dst.Restore(&buf, "ns", decBytes)
 	if err != nil || n != 1 {
 		t.Fatalf("Restore: n=%d err=%v", n, err)
+	}
+}
+
+// TestSnapshotSkipsOversizeKeys: a resident entry whose key Restore
+// would refuse is left out of the snapshot, so the file restores every
+// other entry.
+func TestSnapshotSkipsOversizeKeys(t *testing.T) {
+	src := New(Config{})
+	big := string(make([]byte, MaxKeyLen+1))
+	src.Put(big, []byte("big"), 1)
+	src.Put("small", []byte("keep"), 1)
+	dst := New(Config{})
+	n, err := dst.Restore(bytes.NewReader(snapshotOf(t, src, "ns")), "ns", decBytes)
+	if err != nil || n != 1 {
+		t.Fatalf("Restore: n=%d err=%v, want 1 entry", n, err)
+	}
+	if _, ok := dst.Get("small"); !ok {
+		t.Fatal("the short key was not restored")
+	}
+	if _, ok := src.Get(big); !ok {
+		t.Fatal("the oversize entry left the live cache")
 	}
 }
 
@@ -160,9 +182,40 @@ func TestSnapshotCorruption(t *testing.T) {
 		resign(bad)
 		restoreRejected(t, bad, "ns", ErrSnapshotVersion)
 	})
+	t.Run("oversize-key", func(t *testing.T) {
+		// Restore refuses a file listing a key over MaxKeyLen.
+		body := append([]byte(nil), snapshotMagic[:]...)
+		body = binary.AppendUvarint(body, snapshotVersion)
+		body = binary.AppendUvarint(body, 2)
+		body = append(body, "ns"...)
+		body = binary.AppendUvarint(body, 1)
+		body = binary.AppendUvarint(body, MaxKeyLen+1)
+		body = append(body, make([]byte, MaxKeyLen+1)...)
+		body = binary.AppendUvarint(body, 1) // cost
+		body = binary.AppendUvarint(body, 1)
+		body = append(body, 'x')
+		restoreRejected(t, binary.BigEndian.AppendUint64(body, checksumOf(body)), "ns", ErrSnapshotPayload)
+	})
+	t.Run("duplicate-key", func(t *testing.T) {
+		// Snapshot never lists a key twice; a file that does is refused
+		// rather than restored as fewer entries than it lists.
+		body := append([]byte(nil), snapshotMagic[:]...)
+		body = binary.AppendUvarint(body, snapshotVersion)
+		body = binary.AppendUvarint(body, 2)
+		body = append(body, "ns"...)
+		body = binary.AppendUvarint(body, 2)
+		for i := 0; i < 2; i++ {
+			body = binary.AppendUvarint(body, 3)
+			body = append(body, "key"...)
+			body = binary.AppendUvarint(body, 1) // cost
+			body = binary.AppendUvarint(body, 1)
+			body = append(body, byte('a'+i))
+		}
+		restoreRejected(t, binary.BigEndian.AppendUint64(body, checksumOf(body)), "ns", ErrSnapshotPayload)
+	})
 	t.Run("payload-error", func(t *testing.T) {
 		dst := New(Config{})
-		n, err := dst.Restore(bytes.NewReader(snap), "ns", func([]byte) (any, error) {
+		n, err := dst.Restore(bytes.NewReader(snap), "ns", func(string, []byte) (any, error) {
 			return nil, errors.New("decode refused")
 		})
 		if err == nil || !errors.Is(err, ErrSnapshotPayload) {

@@ -91,6 +91,15 @@ func (ns *Names) Copy(s string) string {
 	return ns.b.String()[start:]
 }
 
+// CopyBytes returns b as a string, which keeps none of the memory b
+// points into alive.
+func (ns *Names) CopyBytes(b []byte) string {
+	ns.reserve(len(b))
+	start := ns.b.Len()
+	ns.b.Write(b)
+	return ns.b.String()[start:]
+}
+
 // Numbered returns base, then sep, then i in decimal.
 func (ns *Names) Numbered(base, sep string, i int) string {
 	d := strconv.AppendInt(ns.digits[:0], int64(i), 10)

@@ -130,3 +130,18 @@ func TestNamesStayValid(t *testing.T) {
 		t.Fatalf("1000 names cost %.0f allocations, want a few per doubling", n)
 	}
 }
+
+// A byte copy keeps none of its source: rewriting the source after the
+// copy changes nothing the copy reads.
+func TestCopyBytesOwnsItsBytes(t *testing.T) {
+	var ns Names
+	src := []byte("shape-key")
+	got := ns.CopyBytes(src)
+	copy(src, "XXXXXXXXX")
+	if got != "shape-key" {
+		t.Fatalf("CopyBytes gave %q after its source changed", got)
+	}
+	if empty := ns.CopyBytes(nil); empty != "" {
+		t.Fatalf("CopyBytes(nil) = %q", empty)
+	}
+}
